@@ -52,7 +52,6 @@ from .evaluation import (
 )
 from .immune_network import (
     AisState,
-    Antibody,
     FinalPopulation,
     ImmuneParams,
     concentration_step,
@@ -70,7 +69,6 @@ __all__ = [
     "AffinityValue",
     "AccuracyRow",
     "AisState",
-    "Antibody",
     "Dataset",
     "ExperimentReport",
     "FileFormat",

@@ -42,8 +42,6 @@ from .datastore import (
 from .domain import Dataset, common_movies
 from .errors import (
     EmptyDatasetError,
-    EmptyPoolError,
-    EmptyPopulationError,
     ImmunorecError,
     InsufficientAntigensError,
     InsufficientOverlapError,
@@ -563,9 +561,6 @@ def main(argv: list[str] | None = None) -> int:
     except _DATA_ERRORS as exc:
         print(f"immunorec: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (EmptyPoolError, EmptyPopulationError, InsufficientOverlapError) as exc:
-        print(f"immunorec: runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except ImmunorecError as exc:
         print(f"immunorec: runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -235,7 +235,6 @@ def accuracy_experiment(
     trials: int,
     seed: int,
     *,
-    pair_cache: PairwiseCache | None = None,
     jobs: int = 1,
     shared_population: bool = False,
 ) -> ExperimentReport:
@@ -266,7 +265,7 @@ def accuracy_experiment(
         ) as executor:
             rows = list(executor.map(_worker_run, profiles))
     else:
-        cache = pair_cache if pair_cache is not None else PairwiseCache(measure)
+        cache = PairwiseCache(measure)
         rows = [
             user_accuracy(
                 antigen, pool, measure, params, trials, seed,

@@ -11,7 +11,8 @@ affinity, y the fixed antigen concentration and n the current population
 size. Stimulation rewards agreement with the antigen; suppression penalises
 redundancy inside the population; the death term thins out everything else.
 Antibodies whose concentration falls below a threshold are discarded for
-good and replaced by fresh draws from the pool. The run stops once
+good and replaced by fresh draws from the pool; the initial sample and every
+replacement go through the same draw-and-admit step. The run stops once
 membership has been unchanged for a configured number of consecutive
 iterations.
 
@@ -23,6 +24,7 @@ of (antigen, pool, measure, params, seed).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +59,12 @@ class ImmuneParams:
     remap_negative: bool = False       # map defined affinities a -> (a+1)/2
 
     def __post_init__(self) -> None:
+        for name in (
+            "stimulation_rate", "suppression_rate", "death_rate", "antigen_concentration",
+            "dt", "prune_threshold", "initial_concentration",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if min(self.stimulation_rate, self.suppression_rate, self.death_rate) < 0:
             raise ValueError("rates k1, k2, k3 must be non-negative")
         if self.antigen_concentration <= 0:
@@ -73,15 +81,6 @@ class ImmuneParams:
             raise ValueError("stability_window must be >= 1")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-
-
-@dataclass(frozen=True)
-class Antibody:
-    """Read-only view of one population member."""
-
-    profile: UserProfile
-    concentration: float
-    antigen_affinity: float
 
 
 @dataclass
@@ -111,12 +110,6 @@ class AisState:
     def member_ids(self) -> list[int]:
         return [p.user_id for p in self.members]
 
-    def antibodies(self) -> list[Antibody]:
-        return [
-            Antibody(p, float(x), float(m))
-            for p, x, m in zip(self.members, self.concentrations, self.antigen_affinities)
-        ]
-
 
 @dataclass(frozen=True)
 class FinalPopulation:
@@ -135,6 +128,40 @@ def _usable(value: AffinityValue, params: ImmuneParams) -> float:
     if params.remap_negative:
         return (value.value + 1.0) / 2.0
     return value.value
+
+
+def _draw_and_admit(
+    state: AisState, count: int, params: ImmuneParams, rng: np.random.Generator
+) -> None:
+    """Move ``count`` uniform draws from ``pool_remaining`` into the population.
+
+    Newcomers join in ascending id order at ``initial_concentration``; the
+    vectors and the affinity matrix grow once for the whole batch, and each
+    newcomer's row is filled against every member before it and itself.
+    """
+    cache = state.cache
+    assert cache is not None
+    pool_ids = np.asarray(state.pool_remaining, dtype=np.int64)
+    newcomer_ids = sorted(int(u) for u in rng.choice(pool_ids, size=count, replace=False))
+    state.pool_remaining = sorted(set(state.pool_remaining) - set(newcomer_ids))
+
+    newcomers = [state.pool.users[uid] for uid in newcomer_ids]
+    state.antigen_affinities = np.append(
+        state.antigen_affinities,
+        [_usable(affinity(state.measure, state.antigen, p), params) for p in newcomers],
+    )
+    state.concentrations = np.append(
+        state.concentrations, np.full(count, params.initial_concentration)
+    )
+    k = len(state.members)
+    members = state.members
+    members.extend(newcomers)
+    grown = np.empty((k + count, k + count), dtype=np.float64)
+    grown[:k, :k] = state.matrix
+    for i in range(k, k + count):
+        for j in range(i + 1):
+            grown[i, j] = grown[j, i] = _usable(cache.lookup(members[i], members[j]), params)
+    state.matrix = grown
 
 
 def init_population(
@@ -166,32 +193,19 @@ def init_population(
             params.population_size,
             len(eligible),
         )
-    chosen = rng.choice(np.asarray(eligible, dtype=np.int64), size=size, replace=False)
-    chosen_ids = sorted(int(u) for u in chosen)
-
-    cache = pair_cache if pair_cache is not None else PairwiseCache(measure)
-    members = [pool.users[uid] for uid in chosen_ids]
-    m_i = np.array(
-        [_usable(affinity(measure, antigen, p), params) for p in members], dtype=np.float64
-    )
-    matrix = np.empty((size, size), dtype=np.float64)
-    for i in range(size):
-        for j in range(i, size):
-            value = _usable(cache.lookup(members[i], members[j]), params)
-            matrix[i, j] = value
-            matrix[j, i] = value
-
-    return AisState(
+    state = AisState(
         antigen=antigen,
         pool=pool,
         measure=measure,
-        members=members,
-        concentrations=np.full(size, params.initial_concentration, dtype=np.float64),
-        antigen_affinities=m_i,
-        matrix=matrix,
-        pool_remaining=sorted(set(eligible) - set(chosen_ids)),
-        cache=cache,
+        members=[],
+        concentrations=np.empty(0),
+        antigen_affinities=np.empty(0),
+        matrix=np.empty((0, 0)),
+        pool_remaining=eligible,
+        cache=pair_cache if pair_cache is not None else PairwiseCache(measure),
     )
+    _draw_and_admit(state, size, params, rng)
+    return state
 
 
 def concentration_step(state: AisState, params: ImmuneParams) -> AisState:
@@ -216,28 +230,6 @@ def concentration_step(state: AisState, params: ImmuneParams) -> AisState:
     )
     state.concentrations = np.maximum(0.0, x + params.dt * dx)
     return state
-
-
-def _admit(state: AisState, profile: UserProfile, params: ImmuneParams) -> None:
-    """Append one antibody: extend the vectors and the affinity matrix."""
-    assert state.cache is not None
-    m_i = _usable(affinity(state.measure, state.antigen, profile), params)
-    row = np.array(
-        [_usable(state.cache.lookup(profile, member), params) for member in state.members],
-        dtype=np.float64,
-    )
-    self_value = _usable(state.cache.lookup(profile, profile), params)
-
-    k = len(state.members)
-    grown = np.empty((k + 1, k + 1), dtype=np.float64)
-    grown[:k, :k] = state.matrix
-    grown[k, :k] = row
-    grown[:k, k] = row
-    grown[k, k] = self_value
-    state.matrix = grown
-    state.members.append(profile)
-    state.concentrations = np.append(state.concentrations, params.initial_concentration)
-    state.antigen_affinities = np.append(state.antigen_affinities, m_i)
 
 
 def prune_and_replace(
@@ -271,13 +263,7 @@ def prune_and_replace(
                 len(state.members) + draw,
             )
         if draw > 0:
-            picked = rng.choice(
-                np.asarray(state.pool_remaining, dtype=np.int64), size=draw, replace=False
-            )
-            newcomer_ids = sorted(int(u) for u in picked)
-            state.pool_remaining = sorted(set(state.pool_remaining) - set(newcomer_ids))
-            for uid in newcomer_ids:
-                _admit(state, state.pool.users[uid], params)
+            _draw_and_admit(state, draw, params, rng)
         state.stable_count = 0
     else:
         state.stable_count += 1

@@ -147,6 +147,13 @@ class TestRecommend:
             ])
         assert excinfo.value.code == 1
 
+    def test_non_finite_rate_rejected(self, data_file, capsys):
+        assert main([
+            "recommend", str(data_file), "--min-ratings", "1", "--user", "1",
+            "--k1", "nan", "--seed", "7",
+        ]) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_user_who_rated_everything(self, tmp_path, capsys):
         # two users covering the same movie set: nothing left to recommend
         rows = "".join(f"1,{m},4\n2,{m},5\n" for m in range(1, 9))
@@ -296,13 +303,18 @@ def test_unknown_command_exits_one():
 def test_log_env_var_controls_verbosity(data_file):
     import subprocess
     import sys
+    from pathlib import Path
 
+    import immunorec
+
+    # the child must import the same package this test did, installed or not
+    package_root = str(Path(immunorec.__file__).resolve().parent.parent)
     result = subprocess.run(
         [sys.executable, "-m", "immunorec.cli", "ingest-check", str(data_file),
          "--min-ratings", "1"],
         capture_output=True,
         text=True,
-        env={"IMMUNOREC_LOG": "info", "PATH": "/usr/bin:/bin"},
+        env={"IMMUNOREC_LOG": "info", "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
     )
     assert result.returncode == 0
     assert "INFO immunorec.datastore: loaded" in result.stderr
@@ -312,7 +324,7 @@ def test_log_env_var_controls_verbosity(data_file):
          "--min-ratings", "1"],
         capture_output=True,
         text=True,
-        env={"IMMUNOREC_LOG": "error", "PATH": "/usr/bin:/bin"},
+        env={"IMMUNOREC_LOG": "error", "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
     )
     assert quiet.returncode == 0
     assert "INFO" not in quiet.stderr

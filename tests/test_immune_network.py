@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from immunorec import (
     ImmuneParams,
     PairwiseCache,
     UserProfile,
+    affinity,
     concentration_step,
     generate_synthetic,
     init_population,
     prune_and_replace,
     run_to_convergence,
 )
-from immunorec.immune_network import AisState
+from immunorec.immune_network import AisState, _usable
 from immunorec.errors import EmptyPoolError
 
 from conftest import STANDARD_SYNTHETIC
@@ -42,6 +44,17 @@ def _bare_state(affinities, matrix, concentrations):
         matrix=np.asarray(matrix, dtype=np.float64),
         pool_remaining=[],
     )
+
+
+def _assert_matches_recompute(state: AisState, params: ImmuneParams) -> None:
+    """The incrementally grown affinities equal a from-scratch recompute."""
+    assert state.antigen_affinities.tolist() == [
+        _usable(affinity(state.measure, state.antigen, p), params) for p in state.members
+    ]
+    assert state.matrix.tolist() == [
+        [_usable(affinity(state.measure, a, b), params) for b in state.members]
+        for a in state.members
+    ]
 
 
 def _small_pool(size: int, movies: int = 12) -> Dataset:
@@ -71,6 +84,13 @@ class TestImmuneParams:
             {"max_iterations": -1},
             {"antigen_concentration": 0.0},
             {"initial_concentration": 0.0},
+            {"dt": math.nan},
+            {"stimulation_rate": math.nan},
+            {"suppression_rate": math.inf},
+            {"death_rate": math.inf},
+            {"prune_threshold": math.nan},
+            {"antigen_concentration": math.inf},
+            {"initial_concentration": math.nan},
         ],
     )
     def test_validation(self, kwargs):
@@ -242,8 +262,25 @@ class TestPruneAndReplace:
             assert members.isdisjoint(state.discarded)
             assert members.isdisjoint(state.pool_remaining)
             assert members | state.discarded | set(state.pool_remaining) == set(pool.user_ids)
+            _assert_matches_recompute(state, params)
             if not state.members:
                 break
+
+    def test_batch_admission_matches_recompute(self):
+        # several newcomers per prune, non-zero antigen affinities
+        pool = _small_pool(40)
+        antigen = UserProfile(999, {m: (m % 6) + 1 for m in range(1, 13)})
+        kt = AffinityMeasure(AffinityKind.KENDALLS_TAU)
+        params = ImmuneParams(population_size=10, remap_negative=True)
+        state = init_population(antigen, pool, kt, params, seed=4)
+        _assert_matches_recompute(state, params)
+        assert len(set(state.antigen_affinities.tolist())) > 1
+        rng = np.random.default_rng(2)
+        while state.pool_remaining:
+            state.concentrations[[0, 4, 7]] = 0.0
+            prune_and_replace(state, params, rng)
+            assert len(state.members) == 10
+            _assert_matches_recompute(state, params)
 
 
 class TestRunToConvergence:
