@@ -328,6 +328,15 @@ class TestPairwiseCache:
         assert cache.lookup(b, a) == cache.lookup(a, b)
         assert len(cache) == 1
 
+    def test_counts_each_unordered_pair_once(self, standard_dataset):
+        measure = AffinityMeasure(AffinityKind.WEIGHTED_KAPPA)
+        profiles = [standard_dataset.users[uid] for uid in standard_dataset.user_ids[:5]]
+        cache = PairwiseCache(measure)
+        for a in reversed(profiles):
+            for b in profiles:
+                assert cache.lookup(a, b) == affinity(measure, a, b)
+        assert len(cache) == 15
+
     def test_self_pair(self, reference_pair):
         a, _ = reference_pair
         cache = PairwiseCache(AffinityMeasure(AffinityKind.WEIGHTED_KAPPA))
