@@ -10,11 +10,7 @@ measure: Weighted Kappa, Kendall's Tau, or a Pearson baseline.
 from .affinity import (
     AffinityKind,
     AffinityMeasure,
-    AffinityValue,
-    FrequencyTable,
-    KTResult,
     PairwiseCache,
-    PearsonResult,
     affinity,
     build_frequency_table,
     kendalls_tau,
@@ -26,7 +22,6 @@ from .affinity import (
 from .datastore import (
     FileFormat,
     IngestConfig,
-    LoadReport,
     SyntheticConfig,
     generate_synthetic,
     load_ratings,
@@ -41,17 +36,13 @@ from .domain import (
     rating_from_category,
 )
 from .evaluation import (
-    AccuracyRow,
     ExperimentReport,
-    PairedComparison,
-    TieRow,
     accuracy_experiment,
     paired_comparison,
     ties_experiment,
     user_accuracy,
 )
 from .immune_network import (
-    AisState,
     FinalPopulation,
     ImmuneParams,
     concentration_step,
@@ -59,32 +50,21 @@ from .immune_network import (
     prune_and_replace,
     run_to_convergence,
 )
-from .recommender import Prediction, RecommendationList, predict_rating, recommend_top_n
+from .recommender import predict_rating, recommend_top_n
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffinityKind",
     "AffinityMeasure",
-    "AffinityValue",
-    "AccuracyRow",
-    "AisState",
     "Dataset",
     "ExperimentReport",
     "FileFormat",
     "FinalPopulation",
-    "FrequencyTable",
     "ImmuneParams",
     "IngestConfig",
-    "KTResult",
-    "LoadReport",
-    "PairedComparison",
     "PairwiseCache",
-    "PearsonResult",
-    "Prediction",
-    "RecommendationList",
     "SyntheticConfig",
-    "TieRow",
     "UserProfile",
     "accuracy_experiment",
     "affinity",

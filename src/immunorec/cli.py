@@ -18,7 +18,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -227,9 +227,13 @@ def _write_text(path: str | Path, text: str) -> None:
         handle.write(text)
 
 
+def _write_json(path: str | Path, payload: dict) -> None:
+    """The one JSON encoding: sorted keys, two-space indent, final newline."""
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def _config_sidecar(path: Path, payload: dict) -> None:
-    sidecar = path.with_name(path.name + ".meta.json")
-    _write_text(sidecar, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(path.with_name(path.name + ".meta.json"), payload)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -322,47 +326,33 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             "iterations": final.iterations_used,
             "entries": [asdict(entry) for entry in recommendations.entries],
         }
-        _write_text(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(args.output, payload)
     return EXIT_OK
 
 
-def _write_report(report, args: argparse.Namespace, extra: dict | None = None) -> None:
+def _write_report(report, args: argparse.Namespace) -> None:
     if not args.output:
         return
     output = Path(args.output)
     if args.report_format == "json":
-        _write_text(output, report.to_json_text())
+        _write_json(output, report.to_dict())
     else:
         _write_text(output, report.to_csv_text())
-        sidecar = {
-            "kind": report.kind,
-            "measure": report.measure,
-            "seed": report.seed,
-            "median": report.median,
-            "mean": report.mean,
-            "params": asdict(report.params) if report.params else None,
-        }
-        if extra:
-            sidecar.update(extra)
-        _config_sidecar(output, sidecar)
+        _config_sidecar(output, report.summary())
 
 
 def _print_report(report) -> None:
-    metric = "accuracy" if report.kind == "accuracy" else "tie_fraction"
+    _, _, metric, tally = report.row_fields
+    metric_label, tally_label = metric.replace("_", " "), tally.replace("_", " ")
     print(f"{report.kind} experiment, measure {report.measure}, seed {report.seed}")
     print(f"  users: {len(report.rows)}  median {metric}: {report.median:.4f}  "
           f"mean: {report.mean:.4f}")
     for row in report.rows:
-        if report.kind == "accuracy":
-            print(
-                f"  user {row.user_id:6d}  ratings {row.num_ratings:4d}  "
-                f"accuracy {row.accuracy:.4f}  fallback trials {row.fallback_trials}"
-            )
-        else:
-            print(
-                f"  user {row.user_id:6d}  ratings {row.num_ratings:4d}  "
-                f"tie fraction {row.tie_fraction:.4f}  pairs skipped {row.pairs_skipped}"
-            )
+        user_id, num_ratings, value, count = astuple(row)
+        print(
+            f"  user {user_id:6d}  ratings {num_ratings:4d}  "
+            f"{metric_label} {value:.4f}  {tally_label} {count}"
+        )
 
 
 def cmd_eval_accuracy(args: argparse.Namespace) -> int:
@@ -428,15 +418,14 @@ def cmd_eval_compare(args: argparse.Namespace) -> int:
         f"sd {comparison.sd_difference:.4f}, t = {t_text}, df = {comparison.degrees_of_freedom}"
     )
     if args.output:
-        payload = {
+        _write_json(args.output, {
             "measures": [r.measure for r in reports],
             "seed": args.seed,
             "medians": [r.median for r in reports],
             "means": [r.mean for r in reports],
-            "comparison": json.loads(comparison.to_json_text()),
-            "reports": [json.loads(r.to_json_text()) for r in reports],
-        }
-        _write_text(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            "comparison": asdict(comparison),
+            "reports": [r.to_dict() for r in reports],
+        })
     return EXIT_OK
 
 
@@ -482,7 +471,6 @@ def build_parser() -> _Parser:
     def _add_eval_common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--seed", type=_nonnegative_int, required=True)
         sub.add_argument("-o", "--output", metavar="FILE")
-        sub.add_argument("--report-format", choices=["csv", "json"], default="csv")
 
     def _add_shared_flag(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
@@ -520,6 +508,9 @@ def build_parser() -> _Parser:
                       help="sampled peers per user (default: 30)")
     _add_eval_common(ties)
     ties.set_defaults(func=cmd_eval_ties)
+
+    for sub in (accuracy, ties):
+        sub.add_argument("--report-format", choices=["csv", "json"], default="csv")
 
     compare = subcommands.add_parser("compare", help="paired accuracy of two measures")
     _add_dataset_args(compare)

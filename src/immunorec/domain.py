@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import InvalidCategoryError, InvalidRatingError
+from .errors import ImmunorecError, InvalidCategoryError, InvalidRatingError
 
 NUM_CATEGORIES = 6
 
@@ -57,6 +57,23 @@ def rating_from_category(category: int) -> float:
     if not 1 <= category <= NUM_CATEGORIES:
         raise InvalidCategoryError(f"category {category} outside 1..{NUM_CATEGORIES}")
     return (int(category) - 1) / 5
+
+
+def mean_rating(profiles: Iterable[UserProfile]) -> float:
+    """Unweighted mean of every rating of ``profiles``, summed in their order.
+
+    The trivial predictor and the fallback for movies no neighbour rated.
+    Raises :class:`ImmunorecError` when there is no rating at all.
+    """
+    total = 0.0
+    count = 0
+    for profile in profiles:
+        for category in profile.categories.values():
+            total += rating_from_category(category)
+            count += 1
+    if count == 0:
+        raise ImmunorecError("no ratings to average")
+    return total / count
 
 
 @dataclass(frozen=True)

@@ -19,17 +19,17 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import math
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from .affinity import AffinityMeasure, PairwiseCache, tie_ignored_fraction
-from .domain import Dataset, UserProfile, rating_from_category
+from .domain import Dataset, UserProfile, mean_rating
 from .errors import (
     ImmunorecError,
     InsufficientAntigensError,
@@ -59,11 +59,19 @@ class TieRow:
     pairs_skipped: int
 
 
+ROW_TYPES = {"accuracy": AccuracyRow, "ties": TieRow}
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Per-user rows plus aggregates; serializable to CSV and JSON."""
+    """Per-user rows plus aggregates.
 
-    kind: str                  # "accuracy" | "ties"
+    The row class of ``kind`` describes the whole layout: its field names
+    are the CSV header and the printed labels, the third field is the
+    reported metric, and ``csv`` writes floats with ``repr``.
+    """
+
+    kind: str                  # a key of ROW_TYPES
     measure: str
     rows: tuple
     median: float
@@ -71,48 +79,30 @@ class ExperimentReport:
     seed: int
     params: ImmuneParams | None
 
-    def metric_values(self) -> list[float]:
-        if self.kind == "accuracy":
-            return [row.accuracy for row in self.rows]
-        return [row.tie_fraction for row in self.rows]
+    @property
+    def row_fields(self) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(ROW_TYPES[self.kind]))
 
-    def to_csv_text(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        if self.kind == "accuracy":
-            writer.writerow(["user_id", "num_ratings", "accuracy", "fallback_trials"])
-            for row in self.rows:
-                writer.writerow([row.user_id, row.num_ratings, repr(row.accuracy), row.fallback_trials])
-        else:
-            writer.writerow(["user_id", "num_ratings", "tie_fraction", "pairs_skipped"])
-            for row in self.rows:
-                writer.writerow([row.user_id, row.num_ratings, repr(row.tie_fraction), row.pairs_skipped])
-        return buffer.getvalue()
-
-    def to_json_text(self) -> str:
-        payload = {
+    def summary(self) -> dict:
+        """Everything except the rows: the CSV sidecar and the JSON top level."""
+        return {
             "kind": self.kind,
             "measure": self.measure,
             "seed": self.seed,
             "median": self.median,
             "mean": self.mean,
             "params": asdict(self.params) if self.params is not None else None,
-            "rows": [asdict(row) for row in self.rows],
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
+    def to_dict(self) -> dict:
+        return self.summary() | {"rows": [asdict(row) for row in self.rows]}
 
-def pool_mean_rating(pool: Dataset) -> float:
-    """Unweighted mean of every rating in the pool (the trivial predictor)."""
-    total = 0.0
-    count = 0
-    for profile in pool:
-        for category in profile.categories.values():
-            total += rating_from_category(category)
-            count += 1
-    if count == 0:
-        raise ImmunorecError("pool has no ratings")
-    return total / count
+    def to_csv_text(self) -> str:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(self.row_fields)
+        writer.writerows(astuple(row) for row in self.rows)
+        return buffer.getvalue()
 
 
 def select_trial_movies(profile: UserProfile, trials: int, seed: int) -> list[int]:
@@ -193,7 +183,7 @@ def user_accuracy(
             fallbacks += int(prediction.fallback)
         else:
             # Extinct population (exhausted pool): fall back to the pool mean.
-            value = pool_mean_rating(pool)
+            value = mean_rating(pool)
             fallbacks += 1
         total_error += abs(value - actual)
     return AccuracyRow(
@@ -240,9 +230,10 @@ def accuracy_experiment(
 ) -> ExperimentReport:
     """Hidden-rating accuracy over a seeded sample of eligible test users.
 
-    Eligible users rated more than ``trials`` movies. Results are identical
-    for any ``jobs`` value because every trial seeds itself from
-    (seed, user id, trial index) alone.
+    Eligible users rated more than ``trials`` movies. At most ``jobs``
+    worker processes run, and never more than there are sampled users or
+    CPUs. Results are identical for any ``jobs`` value because every trial
+    seeds itself from (seed, user id, trial index) alone.
 
     Raises :class:`InsufficientAntigensError` when the sample cannot be drawn.
     """
@@ -257,9 +248,11 @@ def accuracy_experiment(
     )
     profiles = [antigens.users[uid] for uid in sample]
 
-    if jobs > 1:
+    # with the fork start method every worker starts at the first submit
+    workers = min(jobs, len(profiles), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs,
+            max_workers=workers,
             initializer=_worker_init,
             initargs=(pool, measure, params, trials, seed, shared_population),
         ) as executor:
@@ -361,11 +354,6 @@ class PairedComparison:
     sd_difference: float
     t_statistic: float | None
     degrees_of_freedom: int
-
-    def to_json_text(self) -> str:
-        payload = asdict(self)
-        payload["differences"] = list(self.differences)
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def paired_comparison(a: ExperimentReport, b: ExperimentReport) -> PairedComparison:

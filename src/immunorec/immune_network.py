@@ -31,7 +31,7 @@ import numpy as np
 
 from .affinity import AffinityMeasure, AffinityValue, PairwiseCache, affinity
 from .domain import Dataset, UserProfile
-from .errors import EmptyPoolError
+from .errors import EmptyPoolError, ImmunorecError
 
 log = logging.getLogger(__name__)
 
@@ -102,7 +102,6 @@ class AisState:
     matrix: np.ndarray
     pool_remaining: list[int]
     discarded: set[int] = field(default_factory=set)
-    iteration: int = 0
     stable_count: int = 0
     cache: PairwiseCache | None = None
 
@@ -283,9 +282,11 @@ def run_to_convergence(
 
     Converged means the member set was unchanged for ``stability_window``
     consecutive iterations; hitting ``max_iterations`` first returns the
-    current population with ``converged=False`` and a warning. Reusing a
-    ``pair_cache`` across runs on the same pool skips recomputing
-    antibody-antibody affinities and cannot change any result.
+    current population with ``converged=False`` and a warning. A step that
+    leaves any concentration NaN or infinite raises :class:`ImmunorecError`
+    naming the antigen user and the iteration. Reusing a ``pair_cache``
+    across runs on the same pool skips recomputing antibody-antibody
+    affinities and cannot change any result.
     """
     rng = np.random.default_rng(seed)
     state = init_population(antigen, pool, measure, params, rng, pair_cache=pair_cache)
@@ -294,8 +295,12 @@ def run_to_convergence(
     iterations = 0
     for iterations in range(1, params.max_iterations + 1):
         concentration_step(state, params)
+        if not np.isfinite(state.concentrations).all():
+            raise ImmunorecError(
+                f"user {antigen.user_id}: concentrations stopped being finite "
+                f"at iteration {iterations}"
+            )
         prune_and_replace(state, params, rng)
-        state.iteration = iterations
         if state.stable_count >= params.stability_window:
             converged = True
             break

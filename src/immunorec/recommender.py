@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .domain import UserProfile, rating_from_category
+from .domain import UserProfile, mean_rating
 from .errors import EmptyPopulationError
 from .immune_network import FinalPopulation
 
@@ -42,17 +42,6 @@ class RecommendationList:
     entries: tuple[Prediction, ...]
 
 
-def population_mean_rating(population: FinalPopulation) -> float:
-    """Unweighted mean of every rating held by any member (fallback value)."""
-    total = 0.0
-    count = 0
-    for profile, _ in population.members:
-        for category in profile.categories.values():
-            total += rating_from_category(category)
-            count += 1
-    return total / count
-
-
 def predict_rating(population: FinalPopulation, movie_id: int) -> Prediction:
     """Concentration-weighted rating prediction for one movie.
 
@@ -73,7 +62,8 @@ def predict_rating(population: FinalPopulation, movie_id: int) -> Prediction:
             weighted_ratings += weight * profile.rating(movie_id)
             support += 1
     if support == 0:
-        return Prediction(movie_id, population_mean_rating(population), 0, fallback=True)
+        mean = mean_rating(profile for profile, _ in population.members)
+        return Prediction(movie_id, mean, 0, fallback=True)
     return Prediction(movie_id, weighted_ratings / weight_sum, support)
 
 

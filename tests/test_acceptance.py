@@ -28,7 +28,8 @@ from immunorec import (
     weighted_kappa,
 )
 from immunorec.cli import main
-from immunorec.evaluation import pool_mean_rating, select_trial_movies
+from immunorec.domain import mean_rating
+from immunorec.evaluation import select_trial_movies
 from immunorec.immune_network import concentration_step
 from test_immune_network import _bare_state
 
@@ -199,12 +200,12 @@ def test_criterion_08_desk_scale_substitutes(standard_dataset, experiment_bundle
     wk_report, kt_report, ties_report, elapsed = experiment_bundle
 
     # (a) WK-driven recommender vs the global-mean predictor on the same trials
-    mean_rating = pool_mean_rating(standard_dataset)
+    pool_mean = mean_rating(standard_dataset)
     baseline = []
     for row in wk_report.rows:
         profile = standard_dataset.users[row.user_id]
         hidden = select_trial_movies(profile, EXPERIMENT_TRIALS, EXPERIMENT_SEED)
-        errors = [abs(mean_rating - profile.rating(m)) for m in hidden]
+        errors = [abs(pool_mean - profile.rating(m)) for m in hidden]
         baseline.append(1 - sum(errors) / len(errors))
     baseline_median = statistics.median(baseline)
     margin = wk_report.median - baseline_median

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from immunorec.cli import main
+from immunorec.cli import _print_report, main
+from immunorec.evaluation import AccuracyRow, ExperimentReport, TieRow
+from immunorec.immune_network import ImmuneParams
 
 GEN_ARGS = [
     "gen", "--users", "30", "--movies", "40", "--clusters", "2", "--noise", "0.1",
@@ -154,6 +156,15 @@ class TestRecommend:
         ]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_runaway_concentration_exits_three(self, data_file, capsys):
+        assert main([
+            "recommend", str(data_file), "--min-ratings", "1", "--user", "1",
+            "--k1", "1e308", "--seed", "7",
+        ]) == 3
+        captured = capsys.readouterr()
+        assert "user 1: concentrations stopped being finite at iteration 2" in captured.err
+        assert "no recommendations" not in captured.out
+
     def test_user_who_rated_everything(self, tmp_path, capsys):
         # two users covering the same movie set: nothing left to recommend
         rows = "".join(f"1,{m},4\n2,{m},5\n" for m in range(1, 9))
@@ -236,6 +247,9 @@ class TestEval:
         assert main(args + ["-o", str(one)]) == 0
         assert main(args + ["-o", str(two)]) == 0
         assert one.read_bytes() == two.read_bytes()
+        payload = json.loads(one.read_text())
+        assert payload["params"]["population_size"] == 15
+        assert len(payload["rows"]) == 2
 
     def test_accuracy_insufficient_users_exits_two(self, data_file, capsys):
         assert main([
@@ -292,6 +306,40 @@ class TestEval:
             "--users", "2", "--trials", "2", "--population", "15",
             "--shared-population", "--seed", "5",
         ]) == 0
+
+
+@pytest.mark.parametrize("report, expected", [
+    (
+        ExperimentReport(
+            kind="accuracy", measure="wk", median=0.8125, mean=0.80625, seed=5,
+            params=ImmuneParams(),
+            rows=(
+                AccuracyRow(user_id=3, num_ratings=25, accuracy=0.8, fallback_trials=0),
+                AccuracyRow(user_id=117, num_ratings=140, accuracy=0.8125, fallback_trials=2),
+            ),
+        ),
+        [
+            "accuracy experiment, measure wk, seed 5",
+            "  users: 2  median accuracy: 0.8125  mean: 0.8063",
+            "  user      3  ratings   25  accuracy 0.8000  fallback trials 0",
+            "  user    117  ratings  140  accuracy 0.8125  fallback trials 2",
+        ],
+    ),
+    (
+        ExperimentReport(
+            kind="ties", measure="kt", median=0.25, mean=0.25, seed=3, params=None,
+            rows=(TieRow(user_id=42, num_ratings=31, tie_fraction=0.25, pairs_skipped=1),),
+        ),
+        [
+            "ties experiment, measure kt, seed 3",
+            "  users: 1  median tie_fraction: 0.2500  mean: 0.2500",
+            "  user     42  ratings   31  tie fraction 0.2500  pairs skipped 1",
+        ],
+    ),
+])
+def test_printed_report_table(report, expected, capsys):
+    _print_report(report)
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_unknown_command_exits_one():

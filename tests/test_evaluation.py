@@ -16,12 +16,15 @@ from immunorec import (
     ties_experiment,
     user_accuracy,
 )
+from immunorec import evaluation
+from immunorec.domain import mean_rating
 from immunorec.evaluation import (
     AccuracyRow,
-    pool_mean_rating,
+    TieRow,
     select_trial_movies,
 )
 from immunorec.errors import (
+    ImmunorecError,
     InsufficientAntigensError,
     InsufficientRatingsError,
     SampleMismatchError,
@@ -121,7 +124,7 @@ class TestAccuracyExperiment:
         one = accuracy_experiment(data, data, WK, FAST_PARAMS, **kwargs)
         two = accuracy_experiment(data, data, WK, FAST_PARAMS, **kwargs)
         assert one == two
-        assert one.to_json_text() == two.to_json_text()
+        assert one.to_dict() == two.to_dict()
         assert one.to_csv_text() == two.to_csv_text()
 
     def test_single_user_median(self):
@@ -152,6 +155,34 @@ class TestAccuracyExperiment:
         serial = accuracy_experiment(data, data, WK, FAST_PARAMS, **kwargs, jobs=1)
         parallel = accuracy_experiment(data, data, WK, FAST_PARAMS, **kwargs, jobs=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("cpus, users, workers", [(3, 4, 3), (8, 2, 2), (None, 4, None)])
+    def test_jobs_bounded(self, monkeypatch, cpus, users, workers):
+        # an in-process stand-in: no real worker process is ever started
+        started = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(evaluation, "_WORKER", None)
+        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: cpus)
+        data = self._clustered()
+        kwargs = dict(users=users, trials=3, seed=8)
+        report = accuracy_experiment(data, data, WK, FAST_PARAMS, **kwargs, jobs=10**6)
+        assert started == ([] if workers is None else [workers])
+        assert report == accuracy_experiment(data, data, WK, FAST_PARAMS, **kwargs, jobs=1)
 
     def test_shared_population_mode(self):
         # exploration shortcut: deterministic, same row shape, one run per user
@@ -282,9 +313,20 @@ class TestReportSerialization:
         assert lines[0] == "user_id,num_ratings,accuracy,fallback_trials"
         assert lines[1] == "3,25,0.75,1"
 
-    def test_json_embeds_params(self):
-        import json
+        ties = ExperimentReport(
+            kind="ties",
+            measure="kt",
+            rows=(TieRow(user_id=4, num_ratings=30, tie_fraction=0.1 + 0.2, pairs_skipped=2),),
+            median=0.3,
+            mean=0.3,
+            seed=9,
+            params=None,
+        )
+        assert ties.to_csv_text() == (
+            "user_id,num_ratings,tie_fraction,pairs_skipped\n4,30,0.30000000000000004,2\n"
+        )
 
+    def test_json_embeds_params(self):
         report = ExperimentReport(
             kind="accuracy",
             measure="wk",
@@ -294,7 +336,7 @@ class TestReportSerialization:
             seed=9,
             params=ImmuneParams(),
         )
-        payload = json.loads(report.to_json_text())
+        payload = report.to_dict()
         assert payload["params"]["population_size"] == 100
         assert payload["seed"] == 9
         assert payload["rows"][0]["user_id"] == 3
@@ -304,4 +346,6 @@ def test_pool_mean_rating():
     pool = Dataset.from_profiles(
         [UserProfile(1, {1: 1, 2: 6}), UserProfile(2, {1: 4})]
     )
-    assert pool_mean_rating(pool) == pytest.approx((0.0 + 1.0 + 0.6) / 3, abs=1e-12)
+    assert mean_rating(pool) == pytest.approx((0.0 + 1.0 + 0.6) / 3, abs=1e-12)
+    with pytest.raises(ImmunorecError):
+        mean_rating(Dataset.from_profiles([]))

@@ -10,7 +10,7 @@ from immunorec import (
     recommend_top_n,
 )
 from immunorec.errors import EmptyPopulationError
-from immunorec.recommender import population_mean_rating
+from immunorec.domain import mean_rating
 
 
 def _population(*members: tuple[UserProfile, float]) -> FinalPopulation:
@@ -203,4 +203,5 @@ def test_population_mean_counts_each_rating_once():
         (UserProfile.from_ratings(1, {10: 1.0, 11: 0.0}), 5.0),
         (UserProfile.from_ratings(2, {12: 0.6}), 1.0),
     )
-    assert population_mean_rating(population) == pytest.approx((1.0 + 0.0 + 0.6) / 3, abs=1e-12)
+    profiles = (profile for profile, _ in population.members)
+    assert mean_rating(profiles) == pytest.approx((1.0 + 0.0 + 0.6) / 3, abs=1e-12)
