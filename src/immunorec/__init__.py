@@ -10,7 +10,6 @@ measure: Weighted Kappa, Kendall's Tau, or a Pearson baseline.
 from .affinity import (
     AffinityKind,
     AffinityMeasure,
-    PairwiseCache,
     affinity,
     build_frequency_table,
     kendalls_tau,
@@ -63,7 +62,6 @@ __all__ = [
     "FinalPopulation",
     "ImmuneParams",
     "IngestConfig",
-    "PairwiseCache",
     "SyntheticConfig",
     "UserProfile",
     "accuracy_experiment",

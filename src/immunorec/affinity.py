@@ -217,38 +217,45 @@ def affinity(measure: AffinityMeasure, a: UserProfile, b: UserProfile) -> Affini
     return AffinityValue(pearson_baseline(a, b).value)
 
 
-class PairwiseCache:
-    """Memoized :func:`affinity` over a fixed population of profiles.
+#: ``_CREDITS`` indexed by category, with 0 (unrated) earning no credit.
+_CREDIT_LOOKUP = np.pad(_CREDITS, ((1, 0), (1, 0)))
 
-    Values are cached by unordered user-id pair, so every profile must stay
-    the same object for a given id over the cache's lifetime. Candidate-pool
-    profiles satisfy this; leave-one-out antigen variants do NOT and must be
-    evaluated with :func:`affinity` directly.
 
-    Pairs live in one small dict per lower user id, not in one dict keyed by
-    id tuples: a single table of ~10^5 pairs grows through megabyte-sized
-    blocks, and once glibc has freed one of those it serves later ones from
-    its heap (the dynamic mmap threshold), where they fragment, so every
-    experiment after the first in a process would peak ~5 MB higher. Per-row
-    tables stay far below that size for pools of a few thousand users.
+def _category_matrix(profiles: list[UserProfile]) -> np.ndarray:
+    """int8 user x movie categories over the union of the profiles' movies; 0 = unrated."""
+    columns = np.unique(np.concatenate([p.movie_array for p in profiles]), return_inverse=True)[1]
+    owner = np.repeat(np.arange(len(profiles)), [len(p) for p in profiles])
+    matrix = np.zeros((len(profiles), columns.max(initial=-1) + 1), dtype=np.int8)
+    matrix[owner, columns] = np.concatenate([p.category_array for p in profiles])
+    return matrix
+
+
+def affinity_block(
+    measure: AffinityMeasure, rows: list[UserProfile], cols: list[UserProfile]
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`affinity` for every (row, col) pair: (values, insufficient-overlap flags).
+
+    Weighted Kappa runs as one kernel over the category matrices A and B:
+    credit ``sum_c onehot_c(A) @ (sum_d credit[c, d] onehot_d(B))^T`` and
+    overlap ``(A > 0) @ (B > 0)^T``. Every operand and partial sum is an
+    integer of at most 5 x movies, held exactly by float32 (float64 from
+    2**24) whatever the BLAS order or thread count, so the one float64
+    division ``credit / (5 n)`` gives :func:`weighted_kappa`'s correctly
+    rounded double. The other measures go pair by pair.
     """
-
-    def __init__(self, measure: AffinityMeasure):
-        self.measure = measure
-        self._rows: dict[int, dict[int, AffinityValue]] = {}
-        self._size = 0
-
-    def lookup(self, a: UserProfile, b: UserProfile) -> AffinityValue:
-        low, high = a.user_id, b.user_id
-        if low > high:
-            low, high = high, low
-        try:
-            return self._rows[low][high]
-        except KeyError:
-            value = affinity(self.measure, a, b)
-            self._rows.setdefault(low, {})[high] = value
-            self._size += 1
-            return value
-
-    def __len__(self) -> int:
-        return self._size
+    shape = (len(rows), len(cols))
+    if measure.kind is not AffinityKind.WEIGHTED_KAPPA:
+        pairs = [affinity(measure, a, b) for a in rows for b in cols]
+        values = np.array([p.value for p in pairs], dtype=np.float64).reshape(shape)
+        return values, np.array([p.insufficient_overlap for p in pairs], dtype=bool).reshape(shape)
+    categories = _category_matrix([*rows, *cols])
+    exact = np.float32 if (NUM_CATEGORIES - 1) * categories.shape[1] < 2**24 else np.float64
+    a, b = categories[: len(rows)], categories[len(rows):]
+    lookup = _CREDIT_LOOKUP.astype(exact)
+    credit = sum((a == c).astype(exact) @ lookup[c][b].T for c in range(1, NUM_CATEGORIES + 1))
+    overlap = (a > 0).astype(exact) @ (b > 0).astype(exact).T
+    short = overlap < max(measure.min_overlap, _INTRINSIC_MIN[measure.kind])
+    values = np.divide(
+        credit, (NUM_CATEGORIES - 1) * overlap, out=np.zeros(shape), where=~short, dtype=np.float64
+    )
+    return values, short

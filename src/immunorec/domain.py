@@ -24,15 +24,6 @@ SCALE_POINTS = tuple((c - 1) / 5 for c in range(1, NUM_CATEGORIES + 1))
 #: Tolerance when accepting a float as a scale point (covers decimal text input).
 SCALE_TOLERANCE = 1e-9
 
-CATEGORY_LABELS = {
-    1: "Very Bad",
-    2: "Bad",
-    3: "Below Average",
-    4: "Above Average",
-    5: "Good",
-    6: "Very Good",
-}
-
 
 def category_from_rating(rating: float) -> int:
     """Map a rating on the 0-1 scale to its category index 1..6.
@@ -164,6 +155,8 @@ class Dataset:
 
     users: dict[int, UserProfile]
     movie_ids: frozenset[int] = field(default_factory=frozenset)
+    # pool-pair affinities that immune-network runs on this pool share
+    affinity_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_profiles(cls, profiles: Iterable[UserProfile]) -> "Dataset":
@@ -191,9 +184,6 @@ class Dataset:
     def subset(self, user_ids: Iterable[int]) -> "Dataset":
         """A new dataset restricted to the given user ids."""
         return Dataset.from_profiles(self.users[u] for u in user_ids)
-
-    def __getitem__(self, user_id: int) -> UserProfile:
-        return self.users[user_id]
 
     def __contains__(self, user_id: int) -> bool:
         return user_id in self.users

@@ -28,7 +28,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .affinity import AffinityMeasure, PairwiseCache, tie_ignored_fraction
+from .affinity import AffinityMeasure, tie_ignored_fraction
 from .domain import Dataset, UserProfile, mean_rating
 from .errors import (
     ImmunorecError,
@@ -128,7 +128,6 @@ def user_accuracy(
     trials: int = 20,
     seed: int = 0,
     *,
-    pair_cache: PairwiseCache | None = None,
     shared_population: bool = False,
 ) -> AccuracyRow:
     """Hidden-rating accuracy for one user over ``trials`` leave-one-out runs.
@@ -159,7 +158,6 @@ def user_accuracy(
         shared_final = run_to_convergence(
             antigen, pool, measure, params,
             _trial_seed(seed, antigen.user_id, trials),
-            pair_cache=pair_cache,
         )
 
     total_error = 0.0
@@ -175,7 +173,6 @@ def user_accuracy(
                 measure,
                 params,
                 _trial_seed(seed, antigen.user_id, trial_index),
-                pair_cache=pair_cache,
             )
         if final.members:
             prediction = predict_rating(final, movie_id)
@@ -204,16 +201,13 @@ _WORKER: tuple | None = None
 def _worker_init(pool: Dataset, measure: AffinityMeasure, params: ImmuneParams,
                  trials: int, seed: int, shared_population: bool) -> None:
     global _WORKER
-    _WORKER = (pool, measure, params, trials, seed, shared_population, PairwiseCache(measure))
+    _WORKER = (pool, measure, params, trials, seed, shared_population)
 
 
 def _worker_run(antigen: UserProfile) -> AccuracyRow:
     assert _WORKER is not None
-    pool, measure, params, trials, seed, shared, cache = _WORKER
-    return user_accuracy(
-        antigen, pool, measure, params, trials, seed,
-        pair_cache=cache, shared_population=shared,
-    )
+    pool, measure, params, trials, seed, shared = _WORKER
+    return user_accuracy(antigen, pool, measure, params, trials, seed, shared_population=shared)
 
 
 def accuracy_experiment(
@@ -258,11 +252,9 @@ def accuracy_experiment(
         ) as executor:
             rows = list(executor.map(_worker_run, profiles))
     else:
-        cache = PairwiseCache(measure)
         rows = [
             user_accuracy(
-                antigen, pool, measure, params, trials, seed,
-                pair_cache=cache, shared_population=shared_population,
+                antigen, pool, measure, params, trials, seed, shared_population=shared_population
             )
             for antigen in profiles
         ]

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import AffinityMeasure, AffinityValue, PairwiseCache, affinity
+from .affinity import AffinityKind, AffinityMeasure, affinity_block
 from .domain import Dataset, UserProfile
 from .errors import EmptyPoolError, ImmunorecError
 
@@ -103,7 +103,6 @@ class AisState:
     pool_remaining: list[int]
     discarded: set[int] = field(default_factory=set)
     stable_count: int = 0
-    cache: PairwiseCache | None = None
 
     @property
     def member_ids(self) -> list[int]:
@@ -119,14 +118,31 @@ class FinalPopulation:
     iterations_used: int
 
 
-def _usable(value: AffinityValue, params: ImmuneParams) -> float:
-    """The number the dynamics consume: neutral 0 when overlap is short,
-    optionally remapped to [0, 1] otherwise."""
-    if value.insufficient_overlap:
-        return 0.0
+def _usable(values: np.ndarray, short: np.ndarray, params: ImmuneParams) -> np.ndarray:
+    """The numbers the dynamics consume: neutral 0 where overlap is short,
+    optionally remapped to [0, 1] elsewhere."""
     if params.remap_negative:
-        return (value.value + 1.0) / 2.0
-    return value.value
+        values = (values + 1.0) / 2.0
+    return np.where(short, 0.0, values)
+
+
+def _memo_block(state: AisState, newcomers: list[UserProfile], params: ImmuneParams) -> np.ndarray:
+    """Usable affinities of ``newcomers`` against every member, through the pool's memo.
+
+    The memo of each (measure, remap) maps a touched pool user to a dict of
+    usable values by the other user; every measure is exactly symmetric, so
+    one computation fills both directions.
+    """
+    memo = state.pool.affinity_memo.setdefault((state.measure, params.remap_negative), {})
+    block = np.empty((len(newcomers), len(state.members)))
+    for i, a in enumerate(newcomers):
+        row = memo.setdefault(a.user_id, {})
+        missing = [b for b in state.members if b.user_id not in row]
+        values = _usable(*affinity_block(state.measure, [a], missing), params)[0]
+        for b, value in zip(missing, values.tolist()):
+            row[b.user_id] = memo.setdefault(b.user_id, {})[a.user_id] = value
+        block[i] = [row[b.user_id] for b in state.members]
+    return block
 
 
 def _draw_and_admit(
@@ -135,11 +151,9 @@ def _draw_and_admit(
     """Move ``count`` uniform draws from ``pool_remaining`` into the population.
 
     Newcomers join in ascending id order at ``initial_concentration``; the
-    vectors and the affinity matrix grow once for the whole batch, and each
-    newcomer's row is filled against every member before it and itself.
+    vectors and the affinity matrix grow once for the whole batch, by one
+    newcomers x members block (the pool's memo serves the per-pair measures).
     """
-    cache = state.cache
-    assert cache is not None
     pool_ids = np.asarray(state.pool_remaining, dtype=np.int64)
     newcomer_ids = sorted(int(u) for u in rng.choice(pool_ids, size=count, replace=False))
     state.pool_remaining = sorted(set(state.pool_remaining) - set(newcomer_ids))
@@ -147,19 +161,21 @@ def _draw_and_admit(
     newcomers = [state.pool.users[uid] for uid in newcomer_ids]
     state.antigen_affinities = np.append(
         state.antigen_affinities,
-        [_usable(affinity(state.measure, state.antigen, p), params) for p in newcomers],
+        _usable(*affinity_block(state.measure, [state.antigen], newcomers), params)[0],
     )
     state.concentrations = np.append(
         state.concentrations, np.full(count, params.initial_concentration)
     )
     k = len(state.members)
-    members = state.members
-    members.extend(newcomers)
+    state.members.extend(newcomers)
+    if state.measure.kind is AffinityKind.WEIGHTED_KAPPA:
+        block = _usable(*affinity_block(state.measure, newcomers, state.members), params)
+    else:
+        block = _memo_block(state, newcomers, params)
     grown = np.empty((k + count, k + count), dtype=np.float64)
     grown[:k, :k] = state.matrix
-    for i in range(k, k + count):
-        for j in range(i + 1):
-            grown[i, j] = grown[j, i] = _usable(cache.lookup(members[i], members[j]), params)
+    grown[k:] = block
+    grown[:k, k:] = block[:, :k].T
     state.matrix = grown
 
 
@@ -169,8 +185,6 @@ def init_population(
     measure: AffinityMeasure,
     params: ImmuneParams,
     seed: int | np.random.Generator,
-    *,
-    pair_cache: PairwiseCache | None = None,
 ) -> AisState:
     """Draw the initial antibody sample and compute all affinities.
 
@@ -201,12 +215,14 @@ def init_population(
         antigen_affinities=np.empty(0),
         matrix=np.empty((0, 0)),
         pool_remaining=eligible,
-        cache=pair_cache if pair_cache is not None else PairwiseCache(measure),
     )
     _draw_and_admit(state, size, params, rng)
     return state
 
 
+# A runaway step overflows to inf or NaN: run_to_convergence checks the result
+# and names the run, so numpy's warnings would only be noise.
+@np.errstate(over="ignore", invalid="ignore")
 def concentration_step(state: AisState, params: ImmuneParams) -> AisState:
     """One simultaneous Euler update of every concentration, clamped at 0.
 
@@ -275,8 +291,6 @@ def run_to_convergence(
     measure: AffinityMeasure,
     params: ImmuneParams,
     seed: int,
-    *,
-    pair_cache: PairwiseCache | None = None,
 ) -> FinalPopulation:
     """Full selection loop: init, then step+prune until membership settles.
 
@@ -284,12 +298,11 @@ def run_to_convergence(
     consecutive iterations; hitting ``max_iterations`` first returns the
     current population with ``converged=False`` and a warning. A step that
     leaves any concentration NaN or infinite raises :class:`ImmunorecError`
-    naming the antigen user and the iteration. Reusing a ``pair_cache``
-    across runs on the same pool skips recomputing antibody-antibody
-    affinities and cannot change any result.
+    naming the antigen user and the iteration. Runs on one pool share its
+    memo of antibody-antibody affinities, which cannot change any result.
     """
     rng = np.random.default_rng(seed)
-    state = init_population(antigen, pool, measure, params, rng, pair_cache=pair_cache)
+    state = init_population(antigen, pool, measure, params, rng)
 
     converged = False
     iterations = 0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from immunorec import (
     AffinityKind,
     AffinityMeasure,
-    PairwiseCache,
     UserProfile,
     affinity,
     build_frequency_table,
@@ -18,7 +17,9 @@ from immunorec import (
     weight_matrix,
     weighted_kappa,
 )
+from immunorec.affinity import affinity_block
 from immunorec.errors import InsufficientOverlapError
+from immunorec.immune_network import ImmuneParams, _usable
 
 overlapping_profiles = st.integers(min_value=0, max_value=2**32 - 1).map(
     lambda seed: _random_pair(seed, min_common=2)
@@ -320,24 +321,44 @@ class TestAffinityDispatch:
             AffinityMeasure(AffinityKind.WEIGHTED_KAPPA, min_overlap=0)
 
 
-class TestPairwiseCache:
-    def test_returns_same_values(self, reference_pair):
+def _ratings(max_movie: int, min_size: int):
+    return st.dictionaries(
+        st.integers(1, max_movie), st.integers(1, 6), min_size=min_size, max_size=8
+    )
+
+
+class TestAffinityBlock:
+    @given(
+        pool=st.lists(_ratings(12, min_size=1), min_size=1, max_size=5),
+        antigen=_ratings(20, min_size=0),
+        kind=st.sampled_from(AffinityKind),
+        min_overlap=st.sampled_from([1, 2, 3]),
+        remap=st.booleans(),
+    )
+    def test_equals_per_pair_usable(self, pool, antigen, kind, min_overlap, remap):
+        # the antigen may rate movies 13..20, which no pool profile has
+        profiles = [UserProfile(uid, ratings) for uid, ratings in enumerate(pool, start=1)]
+        rows = [UserProfile(99, antigen), *profiles]
+        measure = AffinityMeasure(kind, min_overlap=min_overlap)
+        params = ImmuneParams(remap_negative=remap)
+        got = _usable(*affinity_block(measure, rows, profiles), params)
+        want = [
+            [float(_usable(v.value, v.insufficient_overlap, params))
+             for v in (affinity(measure, a, b) for b in profiles)]
+            for a in rows
+        ]
+        assert got.tolist() == want
+        needed = max(min_overlap, 1 if kind is AffinityKind.WEIGHTED_KAPPA else 2)
+        for i, a in enumerate(rows):
+            for j, b in enumerate(profiles):
+                if len(set(a.categories) & set(b.categories)) < needed:
+                    assert got[i, j] == 0.0
+        if kind is AffinityKind.WEIGHTED_KAPPA:
+            for j, p in enumerate(profiles):
+                assert got[j + 1, j] == (1.0 if len(p) >= needed else 0.0)
+
+    def test_reference_pair(self, reference_pair):
         a, b = reference_pair
-        cache = PairwiseCache(AffinityMeasure(AffinityKind.WEIGHTED_KAPPA))
-        assert cache.lookup(a, b) == affinity(AffinityMeasure(AffinityKind.WEIGHTED_KAPPA), a, b)
-        assert cache.lookup(b, a) == cache.lookup(a, b)
-        assert len(cache) == 1
-
-    def test_counts_each_unordered_pair_once(self, standard_dataset):
-        measure = AffinityMeasure(AffinityKind.WEIGHTED_KAPPA)
-        profiles = [standard_dataset.users[uid] for uid in standard_dataset.user_ids[:5]]
-        cache = PairwiseCache(measure)
-        for a in reversed(profiles):
-            for b in profiles:
-                assert cache.lookup(a, b) == affinity(measure, a, b)
-        assert len(cache) == 15
-
-    def test_self_pair(self, reference_pair):
-        a, _ = reference_pair
-        cache = PairwiseCache(AffinityMeasure(AffinityKind.WEIGHTED_KAPPA))
-        assert cache.lookup(a, a).value == 1.0
+        values, short = affinity_block(AffinityMeasure(AffinityKind.WEIGHTED_KAPPA), [a, b], [a, b])
+        assert values.tolist() == [[1.0, 0.725], [0.725, 1.0]]
+        assert not short.any()

@@ -348,31 +348,40 @@ def test_unknown_command_exits_one():
     assert excinfo.value.code == 1
 
 
-def test_log_env_var_controls_verbosity(data_file):
+def _run_cli_process(args: list[str], log: str):
+    """Run the command in a child process that imports the package this test did."""
     import subprocess
     import sys
     from pathlib import Path
 
     import immunorec
 
-    # the child must import the same package this test did, installed or not
     package_root = str(Path(immunorec.__file__).resolve().parent.parent)
-    result = subprocess.run(
-        [sys.executable, "-m", "immunorec.cli", "ingest-check", str(data_file),
-         "--min-ratings", "1"],
+    return subprocess.run(
+        [sys.executable, "-m", "immunorec.cli", *args],
         capture_output=True,
         text=True,
-        env={"IMMUNOREC_LOG": "info", "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        env={"IMMUNOREC_LOG": log, "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
     )
+
+
+def test_log_env_var_controls_verbosity(data_file):
+    args = ["ingest-check", str(data_file), "--min-ratings", "1"]
+    result = _run_cli_process(args, log="info")
     assert result.returncode == 0
     assert "INFO immunorec.datastore: loaded" in result.stderr
 
-    quiet = subprocess.run(
-        [sys.executable, "-m", "immunorec.cli", "ingest-check", str(data_file),
-         "--min-ratings", "1"],
-        capture_output=True,
-        text=True,
-        env={"IMMUNOREC_LOG": "error", "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
-    )
+    quiet = _run_cli_process(args, log="error")
     assert quiet.returncode == 0
     assert "INFO" not in quiet.stderr
+
+
+def test_runaway_concentration_stderr_has_no_numpy_warnings(data_file):
+    result = _run_cli_process(
+        ["recommend", str(data_file), "--min-ratings", "1", "--user", "1",
+         "--k1", "1e308", "--seed", "1"],
+        log="warn",
+    )
+    assert result.returncode == 3
+    assert "concentrations stopped being finite" in result.stderr
+    assert "RuntimeWarning" not in result.stderr

@@ -9,7 +9,6 @@ from immunorec import (
     AffinityMeasure,
     Dataset,
     ImmuneParams,
-    PairwiseCache,
     UserProfile,
     affinity,
     concentration_step,
@@ -47,14 +46,14 @@ def _bare_state(affinities, matrix, concentrations):
 
 
 def _assert_matches_recompute(state: AisState, params: ImmuneParams) -> None:
-    """The incrementally grown affinities equal a from-scratch recompute."""
-    assert state.antigen_affinities.tolist() == [
-        _usable(affinity(state.measure, state.antigen, p), params) for p in state.members
-    ]
-    assert state.matrix.tolist() == [
-        [_usable(affinity(state.measure, a, b), params) for b in state.members]
-        for a in state.members
-    ]
+    """The incrementally grown affinities equal a from-scratch per-pair recompute."""
+
+    def usable(a: UserProfile, b: UserProfile) -> float:
+        value = affinity(state.measure, a, b)
+        return float(_usable(value.value, value.insufficient_overlap, params))
+
+    assert state.antigen_affinities.tolist() == [usable(state.antigen, p) for p in state.members]
+    assert state.matrix.tolist() == [[usable(a, b) for b in state.members] for a in state.members]
 
 
 def _small_pool(size: int, movies: int = 12) -> Dataset:
@@ -282,6 +281,27 @@ class TestPruneAndReplace:
             assert len(state.members) == 10
             _assert_matches_recompute(state, params)
 
+    def test_wk_batch_admission_matches_recompute(self):
+        # the block kernel path: real steps with pruning on, several newcomers
+        # per prune, and an antigen rating movies no pool user rated
+        pool = _small_pool(40)
+        antigen = UserProfile(999, {m: (m % 6) + 1 for m in (*range(1, 13, 2), 50, 51)})
+        params = ImmuneParams(population_size=10, stability_window=50)
+        state = init_population(antigen, pool, WK, params, seed=4)
+        _assert_matches_recompute(state, params)
+        assert len(set(state.antigen_affinities.tolist())) > 1
+        rng = np.random.default_rng(2)
+        prunes = 0
+        while state.pool_remaining:
+            concentration_step(state, params)
+            state.concentrations[[1, 5]] = 0.0
+            before = set(state.member_ids)
+            prune_and_replace(state, params, rng)
+            assert len(before - set(state.member_ids)) >= 2
+            prunes += 1
+            _assert_matches_recompute(state, params)
+        assert prunes >= 5
+
 
 class TestRunToConvergence:
     def test_zero_threshold_converges_in_window(self):
@@ -311,16 +331,22 @@ class TestRunToConvergence:
         assert [w for _, w in one.members] == [w for _, w in two.members]
         assert (one.converged, one.iterations_used) == (two.converged, two.iterations_used)
 
-    def test_cache_does_not_change_results(self, standard_dataset):
-        antigen = standard_dataset.users[3]
-        params = ImmuneParams()
-        cached = run_to_convergence(
-            antigen, standard_dataset, WK, params, seed=11, pair_cache=PairwiseCache(WK)
-        )
-        plain = run_to_convergence(antigen, standard_dataset, WK, params, seed=11)
-        assert [(p.user_id, w) for p, w in cached.members] == [
-            (p.user_id, w) for p, w in plain.members
-        ]
+    def test_reused_memo_matches_fresh(self):
+        # KT runs share the pool's memo; a memo filled by earlier runs (with
+        # another remap setting too) must give what a fresh pool gives
+        pool = _small_pool(60)
+        kt = AffinityMeasure(AffinityKind.KENDALLS_TAU)
+        antigens = [UserProfile(999, {m: (m * 5 % 6) + 1 for m in range(1, 11)}), pool.users[7]]
+        for remap in (False, True, False):
+            params = ImmuneParams(
+                population_size=12, stability_window=20, max_iterations=30,
+                remap_negative=remap,
+            )
+            for seed, antigen in enumerate(antigens):
+                reused = run_to_convergence(antigen, pool, kt, params, seed=seed)
+                fresh = run_to_convergence(antigen, Dataset.from_profiles(pool), kt, params, seed)
+                assert reused == fresh
+        assert {key[1] for key in pool.affinity_memo} == {False, True}
 
     def test_weights_never_negative(self, standard_dataset):
         antigen = standard_dataset.users[3]
