@@ -15,7 +15,6 @@ from .affinity import (
     kendalls_tau,
     pearson_baseline,
     tie_ignored_fraction,
-    weight_matrix,
     weighted_kappa,
 )
 from .datastore import (
@@ -86,6 +85,5 @@ __all__ = [
     "tie_ignored_fraction",
     "ties_experiment",
     "user_accuracy",
-    "weight_matrix",
     "weighted_kappa",
 ]

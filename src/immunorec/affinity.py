@@ -15,8 +15,8 @@ Two rank-agreement measures drive the immune network:
 A plain Pearson product-moment baseline is included for comparison runs.
 
 All functions are pure; the frequency-table convention is rows = first
-argument's category, columns = second argument's category (the weight matrix
-is symmetric, so transposing never changes the kappa value).
+argument's category, columns = second argument's category (the credits are
+symmetric, so transposing never changes the kappa value).
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ from .errors import InsufficientOverlapError
 _CREDITS = (NUM_CATEGORIES - 1) - np.abs(
     np.arange(NUM_CATEGORIES)[:, None] - np.arange(NUM_CATEGORIES)[None, :]
 )
-
-
-def weight_matrix() -> np.ndarray:
-    """The 6x6 linear weight matrix: 1 on the diagonal, 0 in the far corners."""
-    return _CREDITS / (NUM_CATEGORIES - 1)
 
 
 class AffinityKind(enum.Enum):
@@ -120,11 +115,10 @@ class KTResult:
 def kendalls_tau(a: UserProfile, b: UserProfile) -> KTResult:
     """Kendall's Tau over the common movies of ``a`` and ``b``.
 
-    Enumerates all n(n-1)/2 unordered movie pairs in ascending-movie-id
-    order. For each pair the two rating differences are compared: both zero
-    -> concordant, exactly one zero -> ignored, same sign -> concordant,
-    opposite signs -> discordant. The denominator keeps every pair,
-    including the ignored ones.
+    Counts all n(n-1)/2 unordered movie pairs. For each pair the two rating
+    differences are compared: both zero -> concordant, exactly one zero ->
+    ignored, same sign -> concordant, opposite signs -> discordant. The
+    denominator keeps every pair, including the ignored ones.
 
     Raises :class:`InsufficientOverlapError` when fewer than 2 common movies.
     """
@@ -133,21 +127,15 @@ def kendalls_tau(a: UserProfile, b: UserProfile) -> KTResult:
     if n < 2:
         raise InsufficientOverlapError(needed=2, found=n)
 
-    # Signs are identical on category indices and on the 0-1 scale.
-    upper = np.triu_indices(n, k=1)
-    da = (cats_a[None, :] - cats_a[:, None])[upper]
-    db = (cats_b[None, :] - cats_b[:, None])[upper]
-
-    zero_a = da == 0
-    zero_b = db == 0
-    both_zero = zero_a & zero_b
-    one_zero = zero_a ^ zero_b
-    same_sign = ~zero_a & ~zero_b & (np.sign(da) == np.sign(db))
-
-    concordant = int((both_zero | same_sign).sum())
-    ignored = int(one_zero.sum())
+    # Signs are identical on category indices and on the 0-1 scale. The n x n
+    # sign matrices hold each unordered pair twice, and their diagonal adds
+    # n cells where both signs are zero.
+    sign_a = np.sign(cats_a[None, :] - cats_a[:, None])
+    sign_b = np.sign(cats_b[None, :] - cats_b[:, None])
+    concordant = (int((sign_a == sign_b).sum()) - n) // 2
+    discordant = int((sign_a * sign_b < 0).sum()) // 2
     total = n * (n - 1) // 2
-    discordant = total - concordant - ignored
+    ignored = total - concordant - discordant
     tau = 2 * (concordant - discordant) / (n * (n - 1))
     return KTResult(concordant, discordant, ignored, total, tau)
 

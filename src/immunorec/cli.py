@@ -248,7 +248,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     dataset = generate_synthetic(config)
     output = Path(args.output)
     save_ratings(dataset, output)
-    _config_sidecar(output, {"command": "gen", "config": config.to_dict()})
+    _config_sidecar(output, {"command": "gen", "config": asdict(config)})
     print(f"wrote {len(dataset)} users, {len(dataset.movie_ids)} movies to {output}")
     return EXIT_OK
 
@@ -257,7 +257,6 @@ def cmd_ingest_check(args: argparse.Namespace) -> int:
     _, report = load_ratings(args.data, _ingest_config(args))
     print(f"users kept:    {report.users_kept}")
     print(f"users dropped: {report.users_dropped}")
-    print(f"rows rejected: {report.rows_rejected}")
     print(f"movies:        {report.movies}")
     if args.output:
         _write_text(args.output, report.to_json() + "\n")
@@ -367,7 +366,6 @@ def cmd_eval_accuracy(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
         jobs=args.jobs,
-        shared_population=args.shared_population,
     )
     _print_report(report)
     _write_report(report, args)
@@ -403,7 +401,6 @@ def cmd_eval_compare(args: argparse.Namespace) -> int:
             accuracy_experiment(
                 antigens, pool, measure, params,
                 users=args.users, trials=args.trials, seed=args.seed, jobs=args.jobs,
-                shared_population=args.shared_population,
             )
         )
     comparison = paired_comparison(reports[0], reports[1])
@@ -472,13 +469,6 @@ def build_parser() -> _Parser:
         sub.add_argument("--seed", type=_nonnegative_int, required=True)
         sub.add_argument("-o", "--output", metavar="FILE")
 
-    def _add_shared_flag(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--shared-population", action="store_true",
-            help="exploration only: reuse one network run per user instead of "
-                 "one per hidden trial (leaks selection information)",
-        )
-
     def _add_split_args(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--pool-threshold", type=_nonnegative_int, default=None, metavar="ID",
@@ -497,7 +487,6 @@ def build_parser() -> _Parser:
     _add_measure_args(accuracy)
     _add_immune_args(accuracy)
     _add_split_args(accuracy)
-    _add_shared_flag(accuracy)
     _add_eval_common(accuracy)
     accuracy.set_defaults(func=cmd_eval_accuracy)
 
@@ -521,7 +510,6 @@ def build_parser() -> _Parser:
     compare.add_argument("--min-overlap", type=_positive_int, default=2, metavar="N")
     _add_immune_args(compare)
     _add_split_args(compare)
-    _add_shared_flag(compare)
     _add_eval_common(compare)
     compare.set_defaults(func=cmd_eval_compare)
 

@@ -3,8 +3,8 @@
 The canonical on-disk format keeps ratings as integer categories 1..6
 (`category_csv`), one `user_id,movie_id,category` row per line, no header.
 A `scaled_csv` reader accepts the 0/0.2/../1.0 form instead. Files written
-by this module use LF line endings and ascending (user_id, movie_id) order,
-so identical datasets serialize to identical bytes.
+by this module are `category_csv` with LF line endings and ascending
+(user_id, movie_id) order, so identical datasets serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class LoadReport:
 
     users_kept: int
     users_dropped: int
-    rows_rejected: int
     movies: int
 
     def to_json(self) -> str:
@@ -83,30 +82,18 @@ def _parse_category(text: str, fmt: FileFormat, line: int) -> int:
         raise ParseError(line, 3, f"rating {value!r} is not on the 6-point scale") from None
 
 
-def load_ratings(
-    path: str | Path, config: IngestConfig, *, strict: bool = True
-) -> tuple[Dataset, LoadReport]:
+def load_ratings(path: str | Path, config: IngestConfig) -> tuple[Dataset, LoadReport]:
     """Read and validate a ratings file.
 
-    In strict mode (default) the first malformed row -- wrong field count,
-    bad ids, off-scale rating, or duplicate (user, movie) key -- raises
-    :class:`ParseError` naming the line. With ``strict=False`` such rows are
-    skipped, logged with their line number, and counted in the report.
+    The first malformed row -- wrong field count, bad ids, off-scale rating,
+    or duplicate (user, movie) key -- raises :class:`ParseError` naming the
+    line and column.
 
     Users with fewer than ``config.min_ratings_per_user`` ratings are dropped
     and counted. Raises :class:`EmptyDatasetError` if no user survives.
     """
     path = Path(path)
     by_user: dict[int, dict[int, int]] = {}
-    rejected = 0
-
-    def bad_row(line: int, column: int, reason: str) -> None:
-        nonlocal rejected
-        if strict:
-            raise ParseError(line, column, reason)
-        rejected += 1
-        log.warning("%s:%d rejected: %s", path, line, reason)
-
     with open(path, "r", encoding="utf-8", newline="") as handle:
         for lineno, raw in enumerate(handle, start=1):
             row = raw.rstrip("\r\n")
@@ -114,25 +101,19 @@ def load_ratings(
                 continue
             fields = row.split(",")
             if len(fields) != 3:
-                bad_row(lineno, 1, f"expected 3 fields, got {len(fields)}")
-                continue
+                raise ParseError(lineno, 1, f"expected 3 fields, got {len(fields)}")
             try:
                 user_id, movie_id = int(fields[0]), int(fields[1])
             except ValueError:
-                bad_row(lineno, 1, f"non-integer id in {row!r}")
-                continue
+                raise ParseError(lineno, 1, f"non-integer id in {row!r}") from None
             if user_id < 1 or movie_id < 1:
-                bad_row(lineno, 1, f"ids must be positive in {row!r}")
-                continue
-            try:
-                category = _parse_category(fields[2], config.format, lineno)
-            except ParseError as exc:
-                bad_row(exc.line, exc.column, exc.reason)
-                continue
+                raise ParseError(lineno, 1, f"ids must be positive in {row!r}")
+            category = _parse_category(fields[2], config.format, lineno)
             ratings = by_user.setdefault(user_id, {})
             if movie_id in ratings:
-                bad_row(lineno, 2, f"duplicate rating for user {user_id}, movie {movie_id}")
-                continue
+                raise ParseError(
+                    lineno, 2, f"duplicate rating for user {user_id}, movie {movie_id}"
+                )
             ratings[movie_id] = category
 
     profiles = []
@@ -152,25 +133,20 @@ def load_ratings(
     report = LoadReport(
         users_kept=len(dataset.users),
         users_dropped=dropped,
-        rows_rejected=rejected,
         movies=len(dataset.movie_ids),
     )
     log.info("loaded %s: %s", path, report.to_json())
     return dataset, report
 
 
-def save_ratings(dataset: Dataset, path: str | Path, fmt: FileFormat = FileFormat.CATEGORY_CSV) -> None:
-    """Write a dataset in canonical order: LF endings, ascending (user, movie)."""
+def save_ratings(dataset: Dataset, path: str | Path) -> None:
+    """Write a dataset as ``category_csv``: LF endings, ascending (user, movie)."""
     path = Path(path)
     lines = []
     for user_id in sorted(dataset.users):
         profile = dataset.users[user_id]
         for movie_id in sorted(profile.categories):
-            category = profile.categories[movie_id]
-            if fmt is FileFormat.CATEGORY_CSV:
-                lines.append(f"{user_id},{movie_id},{category}\n")
-            else:
-                lines.append(f"{user_id},{movie_id},{(category - 1) / 5}\n")
+            lines.append(f"{user_id},{movie_id},{profile.categories[movie_id]}\n")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.writelines(lines)
 
@@ -228,11 +204,6 @@ class SyntheticConfig:
             raise ValueError("ratings_per_user range must satisfy 1 <= low <= high <= num_movies")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["ratings_per_user"] = list(self.ratings_per_user)
-        return d
 
 
 def generate_synthetic(config: SyntheticConfig) -> Dataset:

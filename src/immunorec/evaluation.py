@@ -127,8 +127,6 @@ def user_accuracy(
     params: ImmuneParams,
     trials: int = 20,
     seed: int = 0,
-    *,
-    shared_population: bool = False,
 ) -> AccuracyRow:
     """Hidden-rating accuracy for one user over ``trials`` leave-one-out runs.
 
@@ -137,11 +135,6 @@ def user_accuracy(
     the hidden rating is invisible everywhere), and scores the prediction.
     Fallback predictions count toward the average but are tallied in
     ``fallback_trials`` so their influence stays auditable.
-
-    ``shared_population`` is an exploration-only shortcut: one network run on
-    the FULL profile serves every trial. Neighbour selection then sees the
-    hidden ratings, so it is not leak-free and is never used for reported
-    results.
 
     Raises :class:`InsufficientRatingsError` unless the user rated strictly
     more than ``trials`` movies.
@@ -152,28 +145,17 @@ def user_accuracy(
         )
     hidden_movies = select_trial_movies(antigen, trials, seed)
 
-    shared_final = None
-    if shared_population:
-        # seed index `trials` can never collide with a per-trial seed
-        shared_final = run_to_convergence(
-            antigen, pool, measure, params,
-            _trial_seed(seed, antigen.user_id, trials),
-        )
-
     total_error = 0.0
     fallbacks = 0
     for trial_index, movie_id in enumerate(hidden_movies):
         actual = antigen.rating(movie_id)
-        if shared_final is not None:
-            final = shared_final
-        else:
-            final = run_to_convergence(
-                antigen.without_movie(movie_id),
-                pool,
-                measure,
-                params,
-                _trial_seed(seed, antigen.user_id, trial_index),
-            )
+        final = run_to_convergence(
+            antigen.without_movie(movie_id),
+            pool,
+            measure,
+            params,
+            _trial_seed(seed, antigen.user_id, trial_index),
+        )
         if final.members:
             prediction = predict_rating(final, movie_id)
             value = prediction.value
@@ -199,15 +181,14 @@ _WORKER: tuple | None = None
 
 
 def _worker_init(pool: Dataset, measure: AffinityMeasure, params: ImmuneParams,
-                 trials: int, seed: int, shared_population: bool) -> None:
+                 trials: int, seed: int) -> None:
     global _WORKER
-    _WORKER = (pool, measure, params, trials, seed, shared_population)
+    _WORKER = (pool, measure, params, trials, seed)
 
 
 def _worker_run(antigen: UserProfile) -> AccuracyRow:
     assert _WORKER is not None
-    pool, measure, params, trials, seed, shared = _WORKER
-    return user_accuracy(antigen, pool, measure, params, trials, seed, shared_population=shared)
+    return user_accuracy(antigen, *_WORKER)
 
 
 def accuracy_experiment(
@@ -220,7 +201,6 @@ def accuracy_experiment(
     seed: int,
     *,
     jobs: int = 1,
-    shared_population: bool = False,
 ) -> ExperimentReport:
     """Hidden-rating accuracy over a seeded sample of eligible test users.
 
@@ -248,15 +228,12 @@ def accuracy_experiment(
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
-            initargs=(pool, measure, params, trials, seed, shared_population),
+            initargs=(pool, measure, params, trials, seed),
         ) as executor:
             rows = list(executor.map(_worker_run, profiles))
     else:
         rows = [
-            user_accuracy(
-                antigen, pool, measure, params, trials, seed, shared_population=shared_population
-            )
-            for antigen in profiles
+            user_accuracy(antigen, pool, measure, params, trials, seed) for antigen in profiles
         ]
 
     accuracies = [row.accuracy for row in rows]

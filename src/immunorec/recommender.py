@@ -30,10 +30,6 @@ class Prediction:
     support: int
     fallback: bool = False
 
-    def rounded_category(self) -> int:
-        """Nearest display category for the continuous prediction."""
-        return min(6, max(1, int(round(self.value * 5)) + 1))
-
 
 @dataclass(frozen=True)
 class RecommendationList:

@@ -184,20 +184,6 @@ class TestAccuracyExperiment:
         assert started == ([] if workers is None else [workers])
         assert report == accuracy_experiment(data, data, WK, FAST_PARAMS, **kwargs, jobs=1)
 
-    def test_shared_population_mode(self):
-        # exploration shortcut: deterministic, same row shape, one run per user
-        data = self._clustered()
-        kwargs = dict(users=3, trials=4, seed=8)
-        one = accuracy_experiment(data, data, WK, FAST_PARAMS, **kwargs, shared_population=True)
-        two = accuracy_experiment(data, data, WK, FAST_PARAMS, **kwargs, shared_population=True)
-        assert one == two
-        assert all(0.0 <= row.accuracy <= 1.0 for row in one.rows)
-        assert [r.user_id for r in one.rows] == [
-            r.user_id
-            for r in accuracy_experiment(data, data, WK, FAST_PARAMS, **kwargs).rows
-        ]
-
-
 class TestTiesExperiment:
     def test_reference_pair_fraction(self, reference_pair):
         a, b = reference_pair

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from immunorec import (
     AffinityKind,
@@ -301,6 +303,65 @@ class TestPruneAndReplace:
             prunes += 1
             _assert_matches_recompute(state, params)
         assert prunes >= 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pool_seed=st.integers(0, 2**32 - 1),
+        pool_size=st.integers(2, 20),
+        kind=st.sampled_from(list(AffinityKind)),
+        population=st.integers(1, 8),
+        threshold=st.sampled_from([0.05, 0.5, 0.95]),
+        antigen_pooled=st.booleans(),
+        run_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_run_invariants_under_remap(
+        self, pool_seed, pool_size, kind, population, threshold, antigen_pooled, run_seed
+    ):
+        # default rates, remapped affinities: after every step and every prune
+        # the concentrations are finite and non-negative, members, the
+        # remaining pool and the discarded set partition the eligible
+        # candidates, and exactly the pruned ids join the discarded set
+        rng = np.random.default_rng(pool_seed)
+        profiles = [
+            UserProfile(uid, {
+                int(m): int(rng.integers(1, 7))
+                for m in rng.choice(10, size=rng.integers(1, 9), replace=False) + 1
+            })
+            for uid in range(1, pool_size + 1)
+        ]
+        pool = Dataset.from_profiles(profiles)
+        outsider = UserProfile(999, {m: (m % 6) + 1 for m in range(1, 9)})
+        antigen = profiles[0] if antigen_pooled else outsider
+        eligible = set(pool.user_ids) - {antigen.user_id}
+        params = ImmuneParams(
+            population_size=population, prune_threshold=threshold, remap_negative=True
+        )
+        run_rng = np.random.default_rng(run_seed)
+        state = init_population(antigen, pool, AffinityMeasure(kind), params, run_rng)
+
+        def check_concentrations():
+            assert np.isfinite(state.concentrations).all()
+            assert (state.concentrations >= 0).all()
+
+        def check_partition():
+            members, remaining = set(state.member_ids), set(state.pool_remaining)
+            assert len(members) == len(state.members)
+            assert members.isdisjoint(remaining) and members.isdisjoint(state.discarded)
+            assert remaining.isdisjoint(state.discarded)
+            assert members | remaining | state.discarded == eligible
+
+        check_concentrations()
+        check_partition()
+        for _ in range(40):
+            concentration_step(state, params)
+            check_concentrations()
+            members, discarded = set(state.member_ids), set(state.discarded)
+            prune_and_replace(state, params, run_rng)
+            check_concentrations()
+            check_partition()
+            assert state.discarded == discarded | (members - set(state.member_ids))
+            if not state.members:
+                break
 
 
 class TestRunToConvergence:

@@ -76,10 +76,6 @@ class TestPredictRating:
         with pytest.raises(EmptyPopulationError):
             predict_rating(_population(), 10)
 
-    def test_rounded_category(self):
-        population = _population((UserProfile.from_ratings(1, {10: 0.8}), 1.0))
-        assert predict_rating(population, 10).rounded_category() == 5
-
     @given(
         st.lists(
             st.tuples(
