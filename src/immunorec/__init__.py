@@ -30,7 +30,6 @@ from .domain import (
     Dataset,
     UserProfile,
     category_from_rating,
-    common_movies,
     rating_from_category,
 )
 from .evaluation import (
@@ -67,7 +66,6 @@ __all__ = [
     "affinity",
     "build_frequency_table",
     "category_from_rating",
-    "common_movies",
     "concentration_step",
     "generate_synthetic",
     "init_population",

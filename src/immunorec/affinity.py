@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import NUM_CATEGORIES, UserProfile, common_categories, rating_from_category
+from .domain import NUM_CATEGORIES, UserProfile, common_categories
 from .errors import InsufficientOverlapError
 
 #: Integer agreement credit per cell: 5 down to 0 as categories drift apart.
@@ -74,7 +74,6 @@ class FrequencyTable:
 
     counts: np.ndarray
     observations: int
-    categories: int = NUM_CATEGORIES
 
 
 def build_frequency_table(a: UserProfile, b: UserProfile) -> FrequencyTable:
@@ -170,8 +169,8 @@ def pearson_baseline(a: UserProfile, b: UserProfile) -> PearsonResult:
     if (cats_a == cats_a[0]).all() or (cats_b == cats_b[0]).all():
         return PearsonResult(0.0, degenerate=True)
 
-    x = np.array([rating_from_category(int(c)) for c in cats_a])
-    y = np.array([rating_from_category(int(c)) for c in cats_b])
+    x = (cats_a - 1) / 5
+    y = (cats_b - 1) / 5
     xd = x - x.mean()
     yd = y - y.mean()
     r = float((xd * yd).sum() / np.sqrt((xd * xd).sum() * (yd * yd).sum()))

@@ -39,7 +39,7 @@ from .datastore import (
     partition,
     save_ratings,
 )
-from .domain import Dataset, common_movies
+from .domain import Dataset, common_categories
 from .errors import (
     EmptyDatasetError,
     ImmunorecError,
@@ -210,15 +210,9 @@ def _split_for_eval(dataset: Dataset, args: argparse.Namespace) -> tuple[Dataset
     excludes the target user itself).
     """
     if args.pool_threshold is not None:
-        config = IngestConfig(min_ratings_per_user=1, pool_id_threshold=args.pool_threshold)
-        return partition(dataset, config)
+        return partition(dataset, pool_id_threshold=args.pool_threshold)
     if args.split_fraction is not None:
-        config = IngestConfig(
-            min_ratings_per_user=1,
-            split_fraction=args.split_fraction,
-            split_seed=args.seed,
-        )
-        return partition(dataset, config)
+        return partition(dataset, split_fraction=args.split_fraction, split_seed=args.seed)
     return dataset, dataset
 
 
@@ -269,8 +263,8 @@ def cmd_affinity(args: argparse.Namespace) -> int:
         if user_id not in dataset:
             raise UnknownUserError(f"user {user_id} not in dataset")
     a, b = dataset.users[args.user_a], dataset.users[args.user_b]
-    overlap = common_movies(a, b)
-    print(f"users {a.user_id} and {b.user_id}: {len(overlap)} common movies")
+    common, _, _ = common_categories(a, b)
+    print(f"users {a.user_id} and {b.user_id}: {len(common)} common movies")
     try:
         print(f"  weighted kappa: {weighted_kappa(a, b):.6f}")
     except InsufficientOverlapError as exc:
@@ -308,9 +302,9 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         f"user {args.user}: {status} after {final.iterations_used} iterations, "
         f"{len(final.members)} antibodies"
     )
-    if not recommendations.entries:
+    if not recommendations:
         print("no recommendations: the user already rated every candidate movie")
-    for rank, entry in enumerate(recommendations.entries, start=1):
+    for rank, entry in enumerate(recommendations, start=1):
         print(
             f"  {rank:2d}. movie {entry.movie_id:6d}  "
             f"predicted {entry.value:.4f}  support {entry.support}"
@@ -323,7 +317,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             "params": asdict(params),
             "converged": final.converged,
             "iterations": final.iterations_used,
-            "entries": [asdict(entry) for entry in recommendations.entries],
+            "entries": [asdict(entry) for entry in recommendations],
         }
         _write_json(args.output, payload)
     return EXIT_OK
@@ -469,7 +463,10 @@ def build_parser() -> _Parser:
         sub.add_argument("--seed", type=_nonnegative_int, required=True)
         sub.add_argument("-o", "--output", metavar="FILE")
 
-    def _add_split_args(sub: argparse.ArgumentParser) -> None:
+    def _add_accuracy_args(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument("--users", type=_positive_int, required=True)
+        sub.add_argument("--trials", type=_positive_int, default=20)
+        sub.add_argument("--jobs", type=_positive_int, default=1)
         sub.add_argument(
             "--pool-threshold", type=_nonnegative_int, default=None, metavar="ID",
             help="user ids above this form the pool, the rest are test users",
@@ -481,12 +478,9 @@ def build_parser() -> _Parser:
 
     accuracy = subcommands.add_parser("accuracy", help="hidden-rating prediction accuracy")
     _add_dataset_args(accuracy)
-    accuracy.add_argument("--users", type=_positive_int, required=True)
-    accuracy.add_argument("--trials", type=_positive_int, default=20)
-    accuracy.add_argument("--jobs", type=_positive_int, default=1)
+    _add_accuracy_args(accuracy)
     _add_measure_args(accuracy)
     _add_immune_args(accuracy)
-    _add_split_args(accuracy)
     _add_eval_common(accuracy)
     accuracy.set_defaults(func=cmd_eval_accuracy)
 
@@ -504,12 +498,9 @@ def build_parser() -> _Parser:
     compare = subcommands.add_parser("compare", help="paired accuracy of two measures")
     _add_dataset_args(compare)
     compare.add_argument("--measures", default="wk,kt", metavar="A,B")
-    compare.add_argument("--users", type=_positive_int, required=True)
-    compare.add_argument("--trials", type=_positive_int, default=20)
-    compare.add_argument("--jobs", type=_positive_int, default=1)
+    _add_accuracy_args(compare)
     compare.add_argument("--min-overlap", type=_positive_int, default=2, metavar="N")
     _add_immune_args(compare)
-    _add_split_args(compare)
     _add_eval_common(compare)
     compare.set_defaults(func=cmd_eval_compare)
 

@@ -30,25 +30,14 @@ class FileFormat(enum.Enum):
 
 @dataclass(frozen=True)
 class IngestConfig:
-    """Loading and partitioning knobs.
-
-    ``pool_id_threshold`` reproduces the id-based split rule: user ids above
-    the threshold become candidate antibodies, ids at or below it become test
-    antigens. When unset, ``partition`` falls back to a seeded random split
-    with ``split_fraction`` of users going to the pool.
-    """
+    """Loading knobs: the file format and the per-user rating minimum."""
 
     format: FileFormat = FileFormat.CATEGORY_CSV
     min_ratings_per_user: int = 20
-    pool_id_threshold: int | None = None
-    split_fraction: float = 0.8
-    split_seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.min_ratings_per_user < 1:
             raise ValueError("min_ratings_per_user must be >= 1")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ValueError("split_fraction must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True)
@@ -151,24 +140,32 @@ def save_ratings(dataset: Dataset, path: str | Path) -> None:
         handle.writelines(lines)
 
 
-def partition(dataset: Dataset, config: IngestConfig) -> tuple[Dataset, Dataset]:
+def partition(
+    dataset: Dataset,
+    *,
+    pool_id_threshold: int | None = None,
+    split_fraction: float = 0.8,
+    split_seed: int | None = None,
+) -> tuple[Dataset, Dataset]:
     """Split a dataset into (candidate pool, test antigens).
 
     With ``pool_id_threshold`` set, ids above the threshold form the pool and
-    the rest the antigens. Otherwise a seeded shuffle sends
-    ``split_fraction`` of the users to the pool; ``split_seed`` is then
-    mandatory so the split is reproducible.
+    the rest the antigens. Otherwise a seeded shuffle sends ``split_fraction``
+    (strictly between 0 and 1) of the users to the pool; ``split_seed`` is
+    then mandatory so the split is reproducible.
     """
     ids = np.array(dataset.user_ids, dtype=np.int64)
-    if config.pool_id_threshold is not None:
-        pool_ids = [int(u) for u in ids if u > config.pool_id_threshold]
-        antigen_ids = [int(u) for u in ids if u <= config.pool_id_threshold]
+    if pool_id_threshold is not None:
+        pool_ids = [int(u) for u in ids if u > pool_id_threshold]
+        antigen_ids = [int(u) for u in ids if u <= pool_id_threshold]
     else:
-        if config.split_seed is None:
+        if not 0.0 < split_fraction < 1.0:
+            raise ValueError("split_fraction must lie strictly between 0 and 1")
+        if split_seed is None:
             raise ValueError("split_seed is required when pool_id_threshold is unset")
-        rng = np.random.default_rng(config.split_seed)
+        rng = np.random.default_rng(split_seed)
         shuffled = rng.permutation(ids)
-        k = int(round(config.split_fraction * len(ids)))
+        k = int(round(split_fraction * len(ids)))
         pool_ids = sorted(int(u) for u in shuffled[:k])
         antigen_ids = sorted(int(u) for u in shuffled[k:])
 

@@ -108,10 +108,6 @@ class UserProfile:
         """The 0-1 scale rating for ``movie_id`` (KeyError if unrated)."""
         return rating_from_category(self.categories[movie_id])
 
-    def ratings(self) -> dict[int, float]:
-        """All ratings on the 0-1 scale, keyed by movie id."""
-        return {m: rating_from_category(c) for m, c in self.categories.items()}
-
     def without_movie(self, movie_id: int) -> "UserProfile":
         """A copy of this profile with one rating removed (leave-one-out)."""
         remaining = {m: c for m, c in self.categories.items() if m != movie_id}
@@ -134,19 +130,6 @@ def common_categories(a: UserProfile, b: UserProfile) -> tuple[np.ndarray, np.nd
         a.movie_array, b.movie_array, assume_unique=True, return_indices=True
     )
     return ids, a.category_array[idx_a], b.category_array[idx_b]
-
-
-def common_movies(a: UserProfile, b: UserProfile) -> list[tuple[int, float, float]]:
-    """(movie_id, rating_a, rating_b) triples for the movies both users rated.
-
-    Sorted ascending by movie id; ratings are on the 0-1 scale. An empty list
-    is a valid result for disjoint profiles.
-    """
-    ids, cats_a, cats_b = common_categories(a, b)
-    return [
-        (int(m), rating_from_category(int(ca)), rating_from_category(int(cb)))
-        for m, ca, cb in zip(ids, cats_a, cats_b)
-    ]
 
 
 @dataclass(frozen=True)

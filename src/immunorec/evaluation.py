@@ -74,14 +74,20 @@ class ExperimentReport:
     kind: str                  # a key of ROW_TYPES
     measure: str
     rows: tuple
-    median: float
-    mean: float
     seed: int
     params: ImmuneParams | None
 
     @property
     def row_fields(self) -> tuple[str, ...]:
         return tuple(f.name for f in fields(ROW_TYPES[self.kind]))
+
+    @property
+    def median(self) -> float:
+        return float(statistics.median(getattr(row, self.row_fields[2]) for row in self.rows))
+
+    @property
+    def mean(self) -> float:
+        return float(statistics.fmean(getattr(row, self.row_fields[2]) for row in self.rows))
 
     def summary(self) -> dict:
         """Everything except the rows: the CSV sidecar and the JSON top level."""
@@ -236,13 +242,10 @@ def accuracy_experiment(
             user_accuracy(antigen, pool, measure, params, trials, seed) for antigen in profiles
         ]
 
-    accuracies = [row.accuracy for row in rows]
     return ExperimentReport(
         kind="accuracy",
         measure=measure.kind.value,
         rows=tuple(rows),
-        median=float(statistics.median(accuracies)),
-        mean=float(statistics.fmean(accuracies)),
         seed=seed,
         params=params,
     )
@@ -296,13 +299,10 @@ def ties_experiment(
         )
     if not rows:
         raise ImmunorecError("no sampled user had a peer with 2 or more common movies")
-    values = [row.tie_fraction for row in rows]
     return ExperimentReport(
         kind="ties",
         measure="kt",
         rows=tuple(rows),
-        median=float(statistics.median(values)),
-        mean=float(statistics.fmean(values)),
         seed=seed,
         params=None,
     )

@@ -13,14 +13,11 @@ is flagged, so callers can audit or exclude those cases.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .domain import UserProfile, mean_rating
 from .errors import EmptyPopulationError
 from .immune_network import FinalPopulation
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -29,13 +26,6 @@ class Prediction:
     value: float
     support: int
     fallback: bool = False
-
-
-@dataclass(frozen=True)
-class RecommendationList:
-    """Movies ordered by predicted value, ties broken by ascending movie id."""
-
-    entries: tuple[Prediction, ...]
 
 
 def predict_rating(population: FinalPopulation, movie_id: int) -> Prediction:
@@ -65,11 +55,12 @@ def predict_rating(population: FinalPopulation, movie_id: int) -> Prediction:
 
 def recommend_top_n(
     population: FinalPopulation, antigen: UserProfile, count: int
-) -> RecommendationList:
+) -> tuple[Prediction, ...]:
     """The ``count`` best-predicted movies the antigen has not rated.
 
-    Candidates are every movie rated by at least one member; fallback
-    predictions (no positive-weight rater) are excluded from the list.
+    Candidates are the movies rated by at least one positive-weight member,
+    so none falls back. Ordered by predicted value, ties broken by ascending
+    movie id.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -77,13 +68,10 @@ def recommend_top_n(
         raise EmptyPopulationError("cannot recommend from an empty population")
 
     candidates: set[int] = set()
-    for profile, _ in population.members:
-        candidates.update(profile.categories)
+    for profile, weight in population.members:
+        if weight > 0:
+            candidates.update(profile.categories)
     candidates -= set(antigen.categories)
 
-    predictions = [predict_rating(population, movie_id) for movie_id in sorted(candidates)]
-    ranked = sorted(
-        (p for p in predictions if not p.fallback),
-        key=lambda p: (-p.value, p.movie_id),
-    )
-    return RecommendationList(tuple(ranked[:count]))
+    predictions = [predict_rating(population, movie_id) for movie_id in candidates]
+    return tuple(sorted(predictions, key=lambda p: (-p.value, p.movie_id))[:count])

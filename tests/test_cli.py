@@ -299,11 +299,19 @@ class TestEval:
             "--pool-threshold", "10", "--seed", "5",
         ]) == 0
 
+    def test_split_fraction_out_of_range_exits_one(self, data_file, capsys):
+        assert main([
+            "eval", "accuracy", str(data_file), "--min-ratings", "1",
+            "--users", "2", "--trials", "2", "--split-fraction", "1.5", "--seed", "5",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err == "immunorec: config error: split_fraction must lie strictly between 0 and 1\n"
+
 
 @pytest.mark.parametrize("report, expected", [
     (
         ExperimentReport(
-            kind="accuracy", measure="wk", median=0.8125, mean=0.80625, seed=5,
+            kind="accuracy", measure="wk", seed=5,
             params=ImmuneParams(),
             rows=(
                 AccuracyRow(user_id=3, num_ratings=25, accuracy=0.8, fallback_trials=0),
@@ -312,14 +320,14 @@ class TestEval:
         ),
         [
             "accuracy experiment, measure wk, seed 5",
-            "  users: 2  median accuracy: 0.8125  mean: 0.8063",
+            "  users: 2  median accuracy: 0.8063  mean: 0.8063",
             "  user      3  ratings   25  accuracy 0.8000  fallback trials 0",
             "  user    117  ratings  140  accuracy 0.8125  fallback trials 2",
         ],
     ),
     (
         ExperimentReport(
-            kind="ties", measure="kt", median=0.25, mean=0.25, seed=3, params=None,
+            kind="ties", measure="kt", seed=3, params=None,
             rows=(TieRow(user_id=42, num_ratings=31, tie_fraction=0.25, pairs_skipped=1),),
         ),
         [

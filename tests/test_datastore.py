@@ -14,7 +14,7 @@ from immunorec import (
     save_ratings,
     weighted_kappa,
 )
-from immunorec.domain import common_movies
+from immunorec.domain import common_categories
 from immunorec.errors import EmptyDatasetError, ParseError
 
 
@@ -124,15 +124,14 @@ class TestPartition:
         dataset = Dataset.from_profiles(
             [UserProfile(14999, {1: 3}), UserProfile(15001, {1: 4})]
         )
-        pool, antigens = partition(dataset, IngestConfig(min_ratings_per_user=1, pool_id_threshold=15000))
+        pool, antigens = partition(dataset, pool_id_threshold=15000)
         assert pool.user_ids == [15001]
         assert antigens.user_ids == [14999]
 
     def test_seeded_fraction_split(self):
         dataset = Dataset.from_profiles([UserProfile(u, {1: 3}) for u in range(1, 101)])
-        config = IngestConfig(min_ratings_per_user=1, split_fraction=0.8, split_seed=7)
-        pool_a, antigens_a = partition(dataset, config)
-        pool_b, antigens_b = partition(dataset, config)
+        pool_a, antigens_a = partition(dataset, split_fraction=0.8, split_seed=7)
+        pool_b, antigens_b = partition(dataset, split_fraction=0.8, split_seed=7)
         assert pool_a.user_ids == pool_b.user_ids
         assert antigens_a.user_ids == antigens_b.user_ids
         assert len(pool_a) == 80
@@ -143,14 +142,24 @@ class TestPartition:
     def test_fraction_split_requires_seed(self):
         dataset = Dataset.from_profiles([UserProfile(1, {1: 3})])
         with pytest.raises(ValueError, match="split_seed"):
-            partition(dataset, IngestConfig(min_ratings_per_user=1))
+            partition(dataset)
+
+    @pytest.mark.parametrize("fraction", [0, 1.5])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        dataset = Dataset.from_profiles([UserProfile(u, {1: 3}) for u in range(1, 11)])
+        with pytest.raises(ValueError, match="split_fraction must lie strictly between 0 and 1"):
+            partition(dataset, split_fraction=fraction, split_seed=7)
+
+    def test_id_threshold_ignores_fraction(self):
+        dataset = Dataset.from_profiles([UserProfile(u, {1: 3}) for u in range(1, 11)])
+        pool, antigens = partition(dataset, pool_id_threshold=7, split_fraction=5)
+        assert pool.user_ids == [8, 9, 10]
+        assert antigens.user_ids == list(range(1, 8))
 
     def test_empty_side_warns(self, caplog):
         dataset = Dataset.from_profiles([UserProfile(5, {1: 3})])
         with caplog.at_level(logging.WARNING, logger="immunorec.datastore"):
-            pool, antigens = partition(
-                dataset, IngestConfig(min_ratings_per_user=1, pool_id_threshold=100)
-            )
+            pool, antigens = partition(dataset, pool_id_threshold=100)
         assert len(pool) == 0
         assert antigens.user_ids == [5]
         assert any("empty side" in record.message for record in caplog.records)
@@ -191,10 +200,10 @@ class TestGenerateSynthetic:
         users = list(dataset)
         for i, a in enumerate(users):
             for b in users[i + 1:]:
-                overlap = common_movies(a, b)
-                if len(overlap) < 2:
+                _, cats_a, cats_b = common_categories(a, b)
+                if len(cats_a) < 2:
                     continue
-                if all(ra == rb for _, ra, rb in overlap):
+                if (cats_a == cats_b).all():
                     agreements.append(weighted_kappa(a, b))
         assert agreements  # the two clusters guarantee exact-agreement pairs
         assert all(value == 1.0 for value in agreements)
@@ -209,11 +218,11 @@ class TestGenerateSynthetic:
         within, cross = [], []
         for i, a in enumerate(users):
             for b in users[i + 1:]:
-                overlap = common_movies(a, b)
-                if len(overlap) < 3:
+                _, cats_a, cats_b = common_categories(a, b)
+                if len(cats_a) < 3:
                     continue
                 value = weighted_kappa(a, b)
-                if all(ra == rb for _, ra, rb in overlap):
+                if (cats_a == cats_b).all():
                     within.append(value)
                 else:
                     cross.append(value)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from immunorec import Dataset, UserProfile, category_from_rating, common_movies, rating_from_category
+from immunorec import Dataset, UserProfile, category_from_rating, rating_from_category
 from immunorec.domain import SCALE_POINTS, common_categories
 from immunorec.errors import InvalidCategoryError, InvalidRatingError
 
@@ -72,35 +72,36 @@ class TestUserProfile:
 
     def test_ratings_view(self):
         profile = UserProfile(1, {10: 4})
-        assert profile.ratings() == {10: 0.6}
         assert profile.rating(10) == 0.6
 
 
 class TestCommonMovies:
     def test_reference_pair(self, reference_pair):
         a, b = reference_pair
-        triples = common_movies(a, b)
-        assert len(triples) == 8
-        assert triples[0] == (153, 0.6, 0.8)
-        assert [m for m, _, _ in triples] == sorted(m for m, _, _ in triples)
+        ids, cats_a, cats_b = common_categories(a, b)
+        assert len(ids) == 8
+        assert (ids[0], cats_a[0], cats_b[0]) == (153, 4, 5)
+        assert ids.tolist() == sorted(ids.tolist())
 
     def test_disjoint_profiles(self):
         a = UserProfile(1, {1: 3, 2: 4})
         b = UserProfile(2, {3: 3, 4: 4})
-        assert common_movies(a, b) == []
+        ids, cats_a, cats_b = common_categories(a, b)
+        assert len(ids) == len(cats_a) == len(cats_b) == 0
 
     def test_profile_with_itself(self):
         a = UserProfile(1, {1: 3, 2: 4, 7: 6})
-        triples = common_movies(a, a)
-        assert triples == [(1, 0.4, 0.4), (2, 0.6, 0.6), (7, 1.0, 1.0)]
+        ids, cats_a, cats_b = common_categories(a, a)
+        assert ids.tolist() == [1, 2, 7]
+        assert cats_a.tolist() == cats_b.tolist() == [3, 4, 6]
 
     @given(profiles, profiles)
     def test_symmetry(self, a, b):
-        ab = common_movies(a, b)
-        ba = common_movies(b, a)
-        assert len(ab) == len(ba)
-        assert {m for m, _, _ in ab} == {m for m, _, _ in ba}
-        assert [(m, rb, ra) for m, ra, rb in ab] == ba
+        ids_ab, a_ab, b_ab = common_categories(a, b)
+        ids_ba, b_ba, a_ba = common_categories(b, a)
+        assert ids_ab.tolist() == ids_ba.tolist()
+        assert a_ab.tolist() == a_ba.tolist()
+        assert b_ab.tolist() == b_ba.tolist()
 
     @given(profiles, profiles)
     def test_matches_set_intersection(self, a, b):

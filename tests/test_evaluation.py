@@ -235,8 +235,6 @@ class TestPairedComparison:
             kind="accuracy",
             measure=measure,
             rows=rows,
-            median=statistics.median(accuracies),
-            mean=statistics.fmean(accuracies),
             seed=seed,
             params=ImmuneParams(),
         )
@@ -289,8 +287,6 @@ class TestReportSerialization:
             kind="accuracy",
             measure="wk",
             rows=(AccuracyRow(user_id=3, num_ratings=25, accuracy=0.75, fallback_trials=1),),
-            median=0.75,
-            mean=0.75,
             seed=9,
             params=ImmuneParams(),
         )
@@ -303,8 +299,6 @@ class TestReportSerialization:
             kind="ties",
             measure="kt",
             rows=(TieRow(user_id=4, num_ratings=30, tie_fraction=0.1 + 0.2, pairs_skipped=2),),
-            median=0.3,
-            mean=0.3,
             seed=9,
             params=None,
         )
@@ -317,8 +311,6 @@ class TestReportSerialization:
             kind="accuracy",
             measure="wk",
             rows=(AccuracyRow(user_id=3, num_ratings=25, accuracy=0.75, fallback_trials=0),),
-            median=0.75,
-            mean=0.75,
             seed=9,
             params=ImmuneParams(),
         )

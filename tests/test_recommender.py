@@ -128,21 +128,21 @@ class TestRecommendTopN:
     def test_excludes_antigen_movies_and_ranks(self):
         antigen = UserProfile.from_ratings(9, {12: 0.6})
         result = recommend_top_n(self._fixture_population(), antigen, 10)
-        ids = [entry.movie_id for entry in result.entries]
+        ids = [entry.movie_id for entry in result]
         assert 12 not in ids
-        values = [entry.value for entry in result.entries]
+        values = [entry.value for entry in result]
         assert values == sorted(values, reverse=True)
         assert ids[0] == 10  # (2*1.0 + 1*0.8)/3
 
     def test_count_larger_than_candidates(self):
         antigen = UserProfile.from_ratings(9, {99: 0.6})
         result = recommend_top_n(self._fixture_population(), antigen, 50)
-        assert len(result.entries) == 4  # movies 10, 11, 12, 13
+        assert len(result) == 4  # movies 10, 11, 12, 13
 
     def test_antigen_rated_everything(self):
         antigen = UserProfile.from_ratings(9, {10: 0.2, 11: 0.2, 12: 0.2, 13: 0.2})
         result = recommend_top_n(self._fixture_population(), antigen, 5)
-        assert result.entries == ()
+        assert result == ()
 
     def test_count_validation(self):
         antigen = UserProfile.from_ratings(9, {99: 0.6})
@@ -155,7 +155,7 @@ class TestRecommendTopN:
         )
         antigen = UserProfile.from_ratings(9, {99: 0.6})
         result = recommend_top_n(population, antigen, 2)
-        assert [entry.movie_id for entry in result.entries] == [20, 30]
+        assert [entry.movie_id for entry in result] == [20, 30]
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(77)
@@ -164,6 +164,10 @@ class TestRecommendTopN:
             picks = rng.choice(40, size=rng.integers(3, 12), replace=False) + 1
             profile = UserProfile(uid, {int(m): int(rng.integers(1, 7)) for m in picks})
             members.append((profile, float(rng.random() * 3)))
+        # zero-weight members, one of them the only rater of movie 41
+        members[2] = (members[2][0], 0.0)
+        members[7] = (members[7][0], 0.0)
+        members.append((UserProfile(16, {41: 6, 3: 6}), 0.0))
         population = _population(*members)
         antigen_picks = rng.choice(40, size=10, replace=False) + 1
         antigen = UserProfile(99, {int(m): int(rng.integers(1, 7)) for m in antigen_picks})
@@ -186,7 +190,7 @@ class TestRecommendTopN:
                 scored.append((movie, num / den))
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         expected = [(movie, value) for movie, value in scored[:5]]
-        actual = [(entry.movie_id, entry.value) for entry in result.entries]
+        actual = [(entry.movie_id, entry.value) for entry in result]
         assert actual == expected
 
     def test_empty_population_raises(self):
