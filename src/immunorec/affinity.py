@@ -78,7 +78,10 @@ class FrequencyTable:
 
 def build_frequency_table(a: UserProfile, b: UserProfile) -> FrequencyTable:
     """Tabulate the common movies of ``a`` and ``b`` by category pair."""
-    _, cats_a, cats_b = common_categories(a, b)
+    return _frequency_table(*common_categories(a, b)[1:])
+
+
+def _frequency_table(cats_a: np.ndarray, cats_b: np.ndarray) -> FrequencyTable:
     flat = (cats_a - 1) * NUM_CATEGORIES + (cats_b - 1)
     counts = np.bincount(flat, minlength=NUM_CATEGORIES * NUM_CATEGORIES)
     return FrequencyTable(counts.reshape(NUM_CATEGORIES, NUM_CATEGORIES), int(len(cats_a)))
@@ -93,7 +96,11 @@ def weighted_kappa(a: UserProfile, b: UserProfile) -> float:
 
     Raises :class:`InsufficientOverlapError` if the pair shares no movie.
     """
-    table = build_frequency_table(a, b)
+    return _weighted_kappa(*common_categories(a, b)[1:])
+
+
+def _weighted_kappa(cats_a: np.ndarray, cats_b: np.ndarray) -> float:
+    table = _frequency_table(cats_a, cats_b)
     if table.observations < 1:
         raise InsufficientOverlapError(needed=1, found=table.observations)
     credit = int((table.counts * _CREDITS).sum())
@@ -121,7 +128,10 @@ def kendalls_tau(a: UserProfile, b: UserProfile) -> KTResult:
 
     Raises :class:`InsufficientOverlapError` when fewer than 2 common movies.
     """
-    _, cats_a, cats_b = common_categories(a, b)
+    return _kendalls_tau(*common_categories(a, b)[1:])
+
+
+def _kendalls_tau(cats_a: np.ndarray, cats_b: np.ndarray) -> KTResult:
     n = len(cats_a)
     if n < 2:
         raise InsufficientOverlapError(needed=2, found=n)
@@ -162,7 +172,10 @@ def pearson_baseline(a: UserProfile, b: UserProfile) -> PearsonResult:
 
     Raises :class:`InsufficientOverlapError` when fewer than 2 common movies.
     """
-    _, cats_a, cats_b = common_categories(a, b)
+    return _pearson(*common_categories(a, b)[1:])
+
+
+def _pearson(cats_a: np.ndarray, cats_b: np.ndarray) -> PearsonResult:
     n = len(cats_a)
     if n < 2:
         raise InsufficientOverlapError(needed=2, found=n)
@@ -193,28 +206,107 @@ def affinity(measure: AffinityMeasure, a: UserProfile, b: UserProfile) -> Affini
     ``insufficient_overlap`` flag set: such a pair neither stimulates nor
     suppresses anything downstream.
     """
-    ids, _, _ = common_categories(a, b)
-    needed = max(measure.min_overlap, _INTRINSIC_MIN[measure.kind])
-    if len(ids) < needed:
+    _, cats_a, cats_b = common_categories(a, b)
+    if len(cats_a) < _needed(measure):
         return AffinityValue(0.0, insufficient_overlap=True)
     if measure.kind is AffinityKind.WEIGHTED_KAPPA:
-        return AffinityValue(weighted_kappa(a, b))
+        return AffinityValue(_weighted_kappa(cats_a, cats_b))
     if measure.kind is AffinityKind.KENDALLS_TAU:
-        return AffinityValue(kendalls_tau(a, b).tau)
-    return AffinityValue(pearson_baseline(a, b).value)
+        return AffinityValue(_kendalls_tau(cats_a, cats_b).tau)
+    return AffinityValue(_pearson(cats_a, cats_b).value)
+
+
+def _needed(measure: AffinityMeasure) -> int:
+    """Fewest common movies for which ``measure`` gives a value."""
+    return max(measure.min_overlap, _INTRINSIC_MIN[measure.kind])
 
 
 #: ``_CREDITS`` indexed by category, with 0 (unrated) earning no credit.
 _CREDIT_LOOKUP = np.pad(_CREDITS, ((1, 0), (1, 0)))
 
+#: Kendall's Tau as a quadratic form of a pair's flattened 6x6 frequency
+#: table f: ``_TAU_FORM[(p, q), (r, s)] = sign(p - r) * sign(q - s)``.
+_SIGNS = np.sign(np.arange(NUM_CATEGORIES)[:, None] - np.arange(NUM_CATEGORIES)[None, :])
+_TAU_FORM = (_SIGNS[:, None, :, None] * _SIGNS[None, :, None, :]).reshape(
+    NUM_CATEGORIES**2, NUM_CATEGORIES**2
+).astype(np.float64)
 
-def _category_matrix(profiles: list[UserProfile]) -> np.ndarray:
-    """int8 user x movie categories over the union of the profiles' movies; 0 = unrated."""
-    columns = np.unique(np.concatenate([p.movie_array for p in profiles]), return_inverse=True)[1]
+
+def category_matrix(profiles: list[UserProfile], movies: np.ndarray) -> np.ndarray:
+    """int8 profile x movie categories over the ascending ids ``movies``; 0 = unrated.
+
+    Ratings of movies outside ``movies`` are left out: they share nothing
+    with any profile whose movies all lie in it.
+    """
+    ids = np.concatenate([p.movie_array for p in profiles])
     owner = np.repeat(np.arange(len(profiles)), [len(p) for p in profiles])
-    matrix = np.zeros((len(profiles), columns.max(initial=-1) + 1), dtype=np.int8)
-    matrix[owner, columns] = np.concatenate([p.category_array for p in profiles])
+    categories = np.concatenate([p.category_array for p in profiles])
+    columns = np.searchsorted(movies, ids)
+    known = np.append(movies, 0)[columns] == ids  # movie ids are positive
+    matrix = np.zeros((len(profiles), len(movies)), dtype=np.int8)
+    matrix[owner[known], columns[known]] = categories[known]
     return matrix
+
+
+def _exact_dtype(kind: AffinityKind, movies: int) -> type[np.floating]:
+    """float32 while a block kernel's integer sums stay below 2**24, else float64.
+
+    A Weighted Kappa credit sum grows by at most 5 per movie column, a
+    Kendall's Tau table count by at most 1.
+    """
+    per_movie = NUM_CATEGORIES - 1 if kind is AffinityKind.WEIGHTED_KAPPA else 1
+    return np.float32 if per_movie * movies < 2**24 else np.float64
+
+
+def _onehot(block: np.ndarray, dtype: type[np.floating]) -> np.ndarray:
+    """(6 rows) x movies indicators: row ``6 i + c - 1`` marks ``block[i] == c``."""
+    categories = np.arange(1, NUM_CATEGORIES + 1, dtype=block.dtype)[None, :, None]
+    return (block[:, None, :] == categories).astype(dtype).reshape(-1, block.shape[1])
+
+
+def category_affinity(
+    measure: AffinityMeasure, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`affinity` of every row of ``a`` with every row of ``b``: (values, short flags).
+
+    ``a`` and ``b`` are int8 category blocks over the same movie columns, as
+    :func:`category_matrix` builds them. Weighted Kappa and Kendall's Tau only;
+    Pearson goes pair by pair.
+
+    Weighted Kappa is credit ``sum_c onehot_c(a) @ (sum_d credit[c, d]
+    onehot_d(b))^T`` over overlap ``(a > 0) @ (b > 0)^T``. Kendall's Tau
+    takes every pair's 6x6 table f from one one-hot product and counts
+    ``2(C - D) = f^T S f + f^T f - n`` with ``S`` = ``_TAU_FORM``. The
+    products run in float32 while their integers stay below 2**24 (float64
+    from there), the quadratic form in float64 (exact while n**2 < 2**53),
+    so every count is exact whatever the BLAS order or thread count, and the
+    one float64 division gives the per-pair functions' correctly rounded
+    double.
+    """
+    rated = (a > 0).any(axis=0)  # movies no row of ``a`` rated count for no pair
+    a, b = a[:, rated], b[:, rated]
+    exact = _exact_dtype(measure.kind, a.shape[1])
+    if measure.kind is AffinityKind.WEIGHTED_KAPPA:
+        lookup = _CREDIT_LOOKUP.astype(exact)
+        numerator = sum(
+            (a == c).astype(exact) @ lookup[c][b].T for c in range(1, NUM_CATEGORIES + 1)
+        )
+        overlap = ((a > 0).astype(exact) @ (b > 0).astype(exact).T).astype(np.float64)
+        denominator = (NUM_CATEGORIES - 1) * overlap
+    elif measure.kind is AffinityKind.KENDALLS_TAU:
+        g = NUM_CATEGORIES
+        products = (_onehot(a, exact) @ _onehot(b, exact).T).reshape(len(a), g, len(b), g)
+        tables = products.swapaxes(1, 2).reshape(len(a), len(b), g * g).astype(np.float64)
+        overlap = tables.sum(axis=2)
+        numerator = ((tables @ _TAU_FORM + tables) * tables).sum(axis=2) - overlap
+        denominator = overlap * (overlap - 1)
+    else:
+        raise ValueError(f"no block kernel for {measure.kind.value}")
+    short = overlap < _needed(measure)
+    values = np.divide(
+        numerator, denominator, out=np.zeros(short.shape), where=~short, dtype=np.float64
+    )
+    return values, short
 
 
 def affinity_block(
@@ -222,27 +314,16 @@ def affinity_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`affinity` for every (row, col) pair: (values, insufficient-overlap flags).
 
-    Weighted Kappa runs as one kernel over the category matrices A and B:
-    credit ``sum_c onehot_c(A) @ (sum_d credit[c, d] onehot_d(B))^T`` and
-    overlap ``(A > 0) @ (B > 0)^T``. Every operand and partial sum is an
-    integer of at most 5 x movies, held exactly by float32 (float64 from
-    2**24) whatever the BLAS order or thread count, so the one float64
-    division ``credit / (5 n)`` gives :func:`weighted_kappa`'s correctly
-    rounded double. The other measures go pair by pair.
+    Weighted Kappa and Kendall's Tau run :func:`category_affinity` over the
+    profiles' category matrix on the union of their movies; Pearson goes pair
+    by pair.
     """
-    shape = (len(rows), len(cols))
-    if measure.kind is not AffinityKind.WEIGHTED_KAPPA:
+    if measure.kind is AffinityKind.PEARSON:
+        shape = (len(rows), len(cols))
         pairs = [affinity(measure, a, b) for a in rows for b in cols]
         values = np.array([p.value for p in pairs], dtype=np.float64).reshape(shape)
         return values, np.array([p.insufficient_overlap for p in pairs], dtype=bool).reshape(shape)
-    categories = _category_matrix([*rows, *cols])
-    exact = np.float32 if (NUM_CATEGORIES - 1) * categories.shape[1] < 2**24 else np.float64
-    a, b = categories[: len(rows)], categories[len(rows):]
-    lookup = _CREDIT_LOOKUP.astype(exact)
-    credit = sum((a == c).astype(exact) @ lookup[c][b].T for c in range(1, NUM_CATEGORIES + 1))
-    overlap = (a > 0).astype(exact) @ (b > 0).astype(exact).T
-    short = overlap < max(measure.min_overlap, _INTRINSIC_MIN[measure.kind])
-    values = np.divide(
-        credit, (NUM_CATEGORIES - 1) * overlap, out=np.zeros(shape), where=~short, dtype=np.float64
-    )
-    return values, short
+    profiles = [*rows, *cols]
+    movies = np.unique(np.concatenate([p.movie_array for p in profiles]))
+    matrix = category_matrix(profiles, movies)
+    return category_affinity(measure, matrix[: len(rows)], matrix[len(rows):])

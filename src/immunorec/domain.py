@@ -138,7 +138,7 @@ class Dataset:
 
     users: dict[int, UserProfile]
     movie_ids: frozenset[int] = field(default_factory=frozenset)
-    # pool-pair affinities that immune-network runs on this pool share
+    # pool-pair Pearson affinities that immune-network runs on this pool share
     affinity_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
@@ -163,6 +163,11 @@ class Dataset:
     def user_ids(self) -> list[int]:
         """All user ids, ascending."""
         return sorted(self.users)
+
+    @cached_property
+    def movie_array(self) -> np.ndarray:
+        """All rated movie ids, ascending (int64)."""
+        return np.array(sorted(self.movie_ids), dtype=np.int64)
 
     def subset(self, user_ids: Iterable[int]) -> "Dataset":
         """A new dataset restricted to the given user ids."""

@@ -29,7 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import AffinityKind, AffinityMeasure, affinity_block
+from .affinity import (
+    AffinityKind,
+    AffinityMeasure,
+    affinity_block,
+    category_affinity,
+    category_matrix,
+)
 from .domain import Dataset, UserProfile
 from .errors import EmptyPoolError, ImmunorecError
 
@@ -88,7 +94,10 @@ class AisState:
     """Mutable run state: membership, concentrations, and cached affinities.
 
     ``members`` is in admission order and indexes the concentration vector,
-    the antigen-affinity vector and the rows/columns of the pairwise matrix.
+    the antigen-affinity vector, the rows/columns of the pairwise matrix and
+    the rows of ``categories``. ``categories`` and ``antigen_categories``
+    are int8 category rows (see :func:`~immunorec.affinity.category_matrix`)
+    over the pool's ascending movie ids, for the members and the antigen.
     Member ids, ``pool_remaining`` and ``discarded`` stay mutually disjoint
     and together always cover the original eligible candidate set.
     """
@@ -100,6 +109,8 @@ class AisState:
     concentrations: np.ndarray
     antigen_affinities: np.ndarray
     matrix: np.ndarray
+    categories: np.ndarray
+    antigen_categories: np.ndarray
     pool_remaining: list[int]
     discarded: set[int] = field(default_factory=set)
     stable_count: int = 0
@@ -127,11 +138,11 @@ def _usable(values: np.ndarray, short: np.ndarray, params: ImmuneParams) -> np.n
 
 
 def _memo_block(state: AisState, newcomers: list[UserProfile], params: ImmuneParams) -> np.ndarray:
-    """Usable affinities of ``newcomers`` against every member, through the pool's memo.
+    """Usable Pearson affinities of ``newcomers`` against every member, through the pool's memo.
 
     The memo of each (measure, remap) maps a touched pool user to a dict of
-    usable values by the other user; every measure is exactly symmetric, so
-    one computation fills both directions.
+    usable values by the other user; Pearson is exactly symmetric, so one
+    computation fills both directions.
     """
     memo = state.pool.affinity_memo.setdefault((state.measure, params.remap_negative), {})
     block = np.empty((len(newcomers), len(state.members)))
@@ -150,28 +161,33 @@ def _draw_and_admit(
 ) -> None:
     """Move ``count`` uniform draws from ``pool_remaining`` into the population.
 
-    Newcomers join in ascending id order at ``initial_concentration``; the
-    vectors and the affinity matrix grow once for the whole batch, by one
-    newcomers x members block (the pool's memo serves the per-pair measures).
+    Newcomers join in ascending id order at ``initial_concentration``; their
+    category rows are appended, and the vectors and the affinity matrix grow
+    once for the whole batch, by one newcomers x members block. Weighted
+    Kappa and Kendall's Tau come from the category rows' block kernel;
+    Pearson goes pair by pair through the pool's memo.
     """
     pool_ids = np.asarray(state.pool_remaining, dtype=np.int64)
     newcomer_ids = sorted(int(u) for u in rng.choice(pool_ids, size=count, replace=False))
     state.pool_remaining = sorted(set(state.pool_remaining) - set(newcomer_ids))
 
     newcomers = [state.pool.users[uid] for uid in newcomer_ids]
+    rows = category_matrix(newcomers, state.pool.movie_array)
+    state.categories = np.concatenate([state.categories, rows])
+    k = len(state.members)
+    state.members.extend(newcomers)
+    if state.measure.kind is AffinityKind.PEARSON:
+        antigen_block = affinity_block(state.measure, [state.antigen], newcomers)
+        block = _memo_block(state, newcomers, params)
+    else:
+        antigen_block = category_affinity(state.measure, state.antigen_categories, rows)
+        block = _usable(*category_affinity(state.measure, rows, state.categories), params)
     state.antigen_affinities = np.append(
-        state.antigen_affinities,
-        _usable(*affinity_block(state.measure, [state.antigen], newcomers), params)[0],
+        state.antigen_affinities, _usable(*antigen_block, params)[0]
     )
     state.concentrations = np.append(
         state.concentrations, np.full(count, params.initial_concentration)
     )
-    k = len(state.members)
-    state.members.extend(newcomers)
-    if state.measure.kind is AffinityKind.WEIGHTED_KAPPA:
-        block = _usable(*affinity_block(state.measure, newcomers, state.members), params)
-    else:
-        block = _memo_block(state, newcomers, params)
     grown = np.empty((k + count, k + count), dtype=np.float64)
     grown[:k, :k] = state.matrix
     grown[k:] = block
@@ -214,6 +230,8 @@ def init_population(
         concentrations=np.empty(0),
         antigen_affinities=np.empty(0),
         matrix=np.empty((0, 0)),
+        categories=np.empty((0, len(pool.movie_array)), dtype=np.int8),
+        antigen_categories=category_matrix([antigen], pool.movie_array),
         pool_remaining=eligible,
     )
     _draw_and_admit(state, size, params, rng)
@@ -267,6 +285,7 @@ def prune_and_replace(
         state.concentrations = state.concentrations[keep]
         state.antigen_affinities = state.antigen_affinities[keep]
         state.matrix = state.matrix[np.ix_(keep, keep)]
+        state.categories = state.categories[keep]
 
         want = len(removed)
         draw = min(want, len(state.pool_remaining))
@@ -298,8 +317,9 @@ def run_to_convergence(
     consecutive iterations; hitting ``max_iterations`` first returns the
     current population with ``converged=False`` and a warning. A step that
     leaves any concentration NaN or infinite raises :class:`ImmunorecError`
-    naming the antigen user and the iteration. Runs on one pool share its
-    memo of antibody-antibody affinities, which cannot change any result.
+    naming the antigen user and the iteration. Pearson runs on one pool
+    share its memo of antibody-antibody affinities, which cannot change any
+    result.
     """
     rng = np.random.default_rng(seed)
     state = init_population(antigen, pool, measure, params, rng)

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from immunorec import (
     tie_ignored_fraction,
     weighted_kappa,
 )
-from immunorec.affinity import affinity_block
+from immunorec.affinity import _exact_dtype, affinity_block
 from immunorec.errors import InsufficientOverlapError
 from immunorec.immune_network import ImmuneParams, _usable
 
@@ -357,3 +358,29 @@ class TestAffinityBlock:
         values, short = affinity_block(AffinityMeasure(AffinityKind.WEIGHTED_KAPPA), [a, b], [a, b])
         assert values.tolist() == [[1.0, 0.725], [0.725, 1.0]]
         assert not short.any()
+
+    @pytest.mark.parametrize(
+        "kind, movies, dtype",
+        [
+            (AffinityKind.WEIGHTED_KAPPA, (2**24 - 1) // 5, np.float32),
+            (AffinityKind.WEIGHTED_KAPPA, (2**24 - 1) // 5 + 1, np.float64),
+            (AffinityKind.KENDALLS_TAU, 2**24 - 1, np.float32),
+            (AffinityKind.KENDALLS_TAU, 2**24, np.float64),
+        ],
+    )
+    def test_exact_dtype_boundaries(self, kind, movies, dtype):
+        # WK credit sums reach 5 per movie, KT table counts 1: float32 holds
+        # every integer below 2**24
+        assert _exact_dtype(kind, movies) is dtype
+
+    @pytest.mark.parametrize("kind", [AffinityKind.WEIGHTED_KAPPA, AffinityKind.KENDALLS_TAU])
+    def test_float64_branch_equals_per_pair(self, kind, monkeypatch):
+        # the package attribute ``immunorec.affinity`` is the function, not the module
+        module = importlib.import_module("immunorec.affinity")
+        monkeypatch.setattr(module, "_exact_dtype", lambda kind, movies: np.float64)
+        profiles = [_random_pair(seed, min_common=2)[i] for seed in range(8) for i in (0, 1)]
+        measure = AffinityMeasure(kind)
+        values, short = affinity_block(measure, profiles, profiles)
+        want = [[affinity(measure, a, b) for b in profiles] for a in profiles]
+        assert values.tolist() == [[v.value for v in row] for row in want]
+        assert short.tolist() == [[v.insufficient_overlap for v in row] for row in want]

@@ -43,6 +43,8 @@ def _bare_state(affinities, matrix, concentrations):
         concentrations=np.asarray(concentrations, dtype=np.float64),
         antigen_affinities=np.asarray(affinities, dtype=np.float64),
         matrix=np.asarray(matrix, dtype=np.float64),
+        categories=np.full((len(members), 1), 3, dtype=np.int8),
+        antigen_categories=np.full((1, 1), 3, dtype=np.int8),
         pool_remaining=[],
     )
 
@@ -283,13 +285,22 @@ class TestPruneAndReplace:
             assert len(state.members) == 10
             _assert_matches_recompute(state, params)
 
-    def test_wk_batch_admission_matches_recompute(self):
-        # the block kernel path: real steps with pruning on, several newcomers
-        # per prune, and an antigen rating movies no pool user rated
+    @pytest.mark.parametrize("min_overlap", [2, 3])
+    @pytest.mark.parametrize("remap", [False, True], ids=["raw", "remap"])
+    @pytest.mark.parametrize("kind", [AffinityKind.WEIGHTED_KAPPA, AffinityKind.KENDALLS_TAU],
+                             ids=["wk", "kt"])
+    def test_run_held_rows_match_recompute(self, kind, remap, min_overlap):
+        # the block kernel over the run-held category rows: real steps with
+        # pruning on, several newcomers per prune, and an antigen rating
+        # movies no pool user rated
         pool = _small_pool(40)
         antigen = UserProfile(999, {m: (m % 6) + 1 for m in (*range(1, 13, 2), 50, 51)})
-        params = ImmuneParams(population_size=10, stability_window=50)
-        state = init_population(antigen, pool, WK, params, seed=4)
+        measure = AffinityMeasure(kind, min_overlap=min_overlap)
+        params = ImmuneParams(population_size=10, stability_window=50, remap_negative=remap)
+        state = init_population(antigen, pool, measure, params, seed=4)
+        assert state.antigen_categories.tolist() == [
+            [antigen.categories.get(int(m), 0) for m in pool.movie_array]
+        ]
         _assert_matches_recompute(state, params)
         assert len(set(state.antigen_affinities.tolist())) > 1
         rng = np.random.default_rng(2)
@@ -302,6 +313,9 @@ class TestPruneAndReplace:
             assert len(before - set(state.member_ids)) >= 2
             prunes += 1
             _assert_matches_recompute(state, params)
+            assert state.categories.tolist() == [
+                [p.categories.get(int(m), 0) for m in pool.movie_array] for p in state.members
+            ]
         assert prunes >= 5
 
     @settings(max_examples=60, deadline=None)
@@ -393,10 +407,10 @@ class TestRunToConvergence:
         assert (one.converged, one.iterations_used) == (two.converged, two.iterations_used)
 
     def test_reused_memo_matches_fresh(self):
-        # KT runs share the pool's memo; a memo filled by earlier runs (with
-        # another remap setting too) must give what a fresh pool gives
+        # Pearson runs share the pool's memo; a memo filled by earlier runs
+        # (with another remap setting too) must give what a fresh pool gives
         pool = _small_pool(60)
-        kt = AffinityMeasure(AffinityKind.KENDALLS_TAU)
+        pearson = AffinityMeasure(AffinityKind.PEARSON)
         antigens = [UserProfile(999, {m: (m * 5 % 6) + 1 for m in range(1, 11)}), pool.users[7]]
         for remap in (False, True, False):
             params = ImmuneParams(
@@ -404,10 +418,24 @@ class TestRunToConvergence:
                 remap_negative=remap,
             )
             for seed, antigen in enumerate(antigens):
-                reused = run_to_convergence(antigen, pool, kt, params, seed=seed)
-                fresh = run_to_convergence(antigen, Dataset.from_profiles(pool), kt, params, seed)
+                reused = run_to_convergence(antigen, pool, pearson, params, seed=seed)
+                fresh = run_to_convergence(
+                    antigen, Dataset.from_profiles(pool), pearson, params, seed
+                )
                 assert reused == fresh
         assert {key[1] for key in pool.affinity_memo} == {False, True}
+
+    @pytest.mark.parametrize("kind", [AffinityKind.WEIGHTED_KAPPA, AffinityKind.KENDALLS_TAU])
+    def test_kernel_measures_leave_memo_empty(self, kind):
+        pool = _small_pool(60)
+        antigen = UserProfile(999, {m: (m * 5 % 6) + 1 for m in range(1, 11)})
+        for remap in (False, True):
+            params = ImmuneParams(
+                population_size=12, stability_window=20, max_iterations=30,
+                remap_negative=remap,
+            )
+            run_to_convergence(antigen, pool, AffinityMeasure(kind), params, seed=1)
+        assert pool.affinity_memo == {}
 
     def test_weights_never_negative(self, standard_dataset):
         antigen = standard_dataset.users[3]
