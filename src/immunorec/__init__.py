@@ -10,7 +10,6 @@ measure: Weighted Kappa, Kendall's Tau, or a Pearson baseline.
 from .affinity import (
     AffinityKind,
     AffinityMeasure,
-    affinity,
     build_frequency_table,
     kendalls_tau,
     pearson_baseline,
@@ -63,7 +62,6 @@ __all__ = [
     "SyntheticConfig",
     "UserProfile",
     "accuracy_experiment",
-    "affinity",
     "build_frequency_table",
     "category_from_rating",
     "concentration_step",

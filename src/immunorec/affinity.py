@@ -270,8 +270,7 @@ def category_affinity(
     """:func:`affinity` of every row of ``a`` with every row of ``b``: (values, short flags).
 
     ``a`` and ``b`` are int8 category blocks over the same movie columns, as
-    :func:`category_matrix` builds them. Weighted Kappa and Kendall's Tau only;
-    Pearson goes pair by pair.
+    :func:`category_matrix` builds them.
 
     Weighted Kappa is credit ``sum_c onehot_c(a) @ (sum_d credit[c, d]
     onehot_d(b))^T`` over overlap ``(a > 0) @ (b > 0)^T``. Kendall's Tau
@@ -281,10 +280,13 @@ def category_affinity(
     from there), the quadratic form in float64 (exact while n**2 < 2**53),
     so every count is exact whatever the BLAS order or thread count, and the
     one float64 division gives the per-pair functions' correctly rounded
-    double.
+    double. Pearson repeats the per-pair float operations, see
+    :func:`_pearson_block`.
     """
     rated = (a > 0).any(axis=0)  # movies no row of ``a`` rated count for no pair
     a, b = a[:, rated], b[:, rated]
+    if measure.kind is AffinityKind.PEARSON:
+        return _pearson_block(a, b, _needed(measure))
     exact = _exact_dtype(measure.kind, a.shape[1])
     if measure.kind is AffinityKind.WEIGHTED_KAPPA:
         lookup = _CREDIT_LOOKUP.astype(exact)
@@ -293,15 +295,13 @@ def category_affinity(
         )
         overlap = ((a > 0).astype(exact) @ (b > 0).astype(exact).T).astype(np.float64)
         denominator = (NUM_CATEGORIES - 1) * overlap
-    elif measure.kind is AffinityKind.KENDALLS_TAU:
+    else:
         g = NUM_CATEGORIES
         products = (_onehot(a, exact) @ _onehot(b, exact).T).reshape(len(a), g, len(b), g)
         tables = products.swapaxes(1, 2).reshape(len(a), len(b), g * g).astype(np.float64)
         overlap = tables.sum(axis=2)
         numerator = ((tables @ _TAU_FORM + tables) * tables).sum(axis=2) - overlap
         denominator = overlap * (overlap - 1)
-    else:
-        raise ValueError(f"no block kernel for {measure.kind.value}")
     short = overlap < _needed(measure)
     values = np.divide(
         numerator, denominator, out=np.zeros(short.shape), where=~short, dtype=np.float64
@@ -309,21 +309,49 @@ def category_affinity(
     return values, short
 
 
-def affinity_block(
-    measure: AffinityMeasure, rows: list[UserProfile], cols: list[UserProfile]
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`affinity` for every (row, col) pair: (values, insufficient-overlap flags).
+def _pearson_block(a: np.ndarray, b: np.ndarray, needed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson of every row of ``a`` with every row of ``b``, bit for bit as :func:`_pearson`.
 
-    Weighted Kappa and Kendall's Tau run :func:`category_affinity` over the
-    profiles' category matrix on the union of their movies; Pearson goes pair
-    by pair.
+    The pairs sharing at least ``needed`` movies are sorted by overlap n, so
+    each n owns one contiguous (pairs x n) block of common categories, and
+    every step of :func:`_pearson` runs on it row by row: numpy reduces each
+    row exactly as it reduces the per-pair vector. Rows are never padded to a
+    common length, which would change that summation order. A constant side
+    gives 0 without the short flag.
     """
-    if measure.kind is AffinityKind.PEARSON:
-        shape = (len(rows), len(cols))
-        pairs = [affinity(measure, a, b) for a in rows for b in cols]
-        values = np.array([p.value for p in pairs], dtype=np.float64).reshape(shape)
-        return values, np.array([p.insufficient_overlap for p in pairs], dtype=bool).reshape(shape)
-    profiles = [*rows, *cols]
-    movies = np.unique(np.concatenate([p.movie_array for p in profiles]))
-    matrix = category_matrix(profiles, movies)
-    return category_affinity(measure, matrix[: len(rows)], matrix[len(rows):])
+    overlap = (a > 0).astype(np.float64) @ (b > 0).astype(np.float64).T  # exact counts
+    short = overlap < needed
+    i, j = np.nonzero(~short)
+    order = np.argsort(overlap[i, j], kind="stable")
+    i, j = i[order], j[order]
+    sizes = overlap[i, j].astype(np.intp)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    # Gather each pair from the columns its ``a`` row rated, ascending, so the
+    # work grows with the most ratings in a row, not with the movies.
+    width = (a > 0).sum(axis=1).max(initial=0)
+    own_columns = np.argsort(a == 0, axis=1, kind="stable")[:, :width]
+    own = np.take_along_axis(a, own_columns, axis=1)
+    own_columns = np.where(own > 0, own_columns, a.shape[1])  # pad with an added unrated column
+    padded = np.concatenate([b, np.zeros((len(b), 1), dtype=np.int8)], axis=1)
+    cats_b = padded[:, own_columns][j, i]  # (pairs, slots)
+    common = cats_b > 0
+    cats_b = cats_b[common]  # flat, pair after pair; frees the block before ``own[i]``
+    cats_a = own[i][common]
+    constant = np.zeros(len(i), dtype=bool)
+    for cats in (cats_a, cats_b):
+        constant |= np.minimum.reduceat(cats, starts) == np.maximum.reduceat(cats, starts)
+    sums = np.empty((3, len(i)))  # per pair: sum xd*yd, sum xd*xd, sum yd*yd
+    bounds = np.flatnonzero(np.diff(sizes, prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        n = sizes[lo]
+        span = slice(starts[lo], ends[hi - 1])
+        x = (cats_a[span].reshape(hi - lo, n) - 1) / 5
+        y = (cats_b[span].reshape(hi - lo, n) - 1) / 5
+        x -= x.sum(axis=1, keepdims=True) / n  # numpy's mean: the sum over n
+        y -= y.sum(axis=1, keepdims=True) / n
+        sums[:, lo:hi] = (x * y).sum(axis=1), (x * x).sum(axis=1), (y * y).sum(axis=1)
+    r = np.divide(sums[0], np.sqrt(sums[1] * sums[2]), out=np.zeros(len(i)), where=~constant)
+    values = np.zeros(overlap.shape)
+    values[i, j] = np.clip(r, -1.0, 1.0)
+    return values, short

@@ -138,8 +138,6 @@ class Dataset:
 
     users: dict[int, UserProfile]
     movie_ids: frozenset[int] = field(default_factory=frozenset)
-    # pool-pair Pearson affinities that immune-network runs on this pool share
-    affinity_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_profiles(cls, profiles: Iterable[UserProfile]) -> "Dataset":

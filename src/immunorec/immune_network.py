@@ -29,13 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import (
-    AffinityKind,
-    AffinityMeasure,
-    affinity_block,
-    category_affinity,
-    category_matrix,
-)
+from .affinity import AffinityMeasure, category_affinity, category_matrix
 from .domain import Dataset, UserProfile
 from .errors import EmptyPoolError, ImmunorecError
 
@@ -91,13 +85,14 @@ class ImmuneParams:
 
 @dataclass
 class AisState:
-    """Mutable run state: membership, concentrations, and cached affinities.
+    """Mutable run state: membership, concentrations, affinities and category rows.
 
     ``members`` is in admission order and indexes the concentration vector,
     the antigen-affinity vector, the rows/columns of the pairwise matrix and
     the rows of ``categories``. ``categories`` and ``antigen_categories``
     are int8 category rows (see :func:`~immunorec.affinity.category_matrix`)
-    over the pool's ascending movie ids, for the members and the antigen.
+    over the pool's ascending movie ids, for the members and the antigen;
+    every affinity of the run comes from the block kernel over them.
     Member ids, ``pool_remaining`` and ``discarded`` stay mutually disjoint
     and together always cover the original eligible candidate set.
     """
@@ -137,25 +132,6 @@ def _usable(values: np.ndarray, short: np.ndarray, params: ImmuneParams) -> np.n
     return np.where(short, 0.0, values)
 
 
-def _memo_block(state: AisState, newcomers: list[UserProfile], params: ImmuneParams) -> np.ndarray:
-    """Usable Pearson affinities of ``newcomers`` against every member, through the pool's memo.
-
-    The memo of each (measure, remap) maps a touched pool user to a dict of
-    usable values by the other user; Pearson is exactly symmetric, so one
-    computation fills both directions.
-    """
-    memo = state.pool.affinity_memo.setdefault((state.measure, params.remap_negative), {})
-    block = np.empty((len(newcomers), len(state.members)))
-    for i, a in enumerate(newcomers):
-        row = memo.setdefault(a.user_id, {})
-        missing = [b for b in state.members if b.user_id not in row]
-        values = _usable(*affinity_block(state.measure, [a], missing), params)[0]
-        for b, value in zip(missing, values.tolist()):
-            row[b.user_id] = memo.setdefault(b.user_id, {})[a.user_id] = value
-        block[i] = [row[b.user_id] for b in state.members]
-    return block
-
-
 def _draw_and_admit(
     state: AisState, count: int, params: ImmuneParams, rng: np.random.Generator
 ) -> None:
@@ -163,9 +139,8 @@ def _draw_and_admit(
 
     Newcomers join in ascending id order at ``initial_concentration``; their
     category rows are appended, and the vectors and the affinity matrix grow
-    once for the whole batch, by one newcomers x members block. Weighted
-    Kappa and Kendall's Tau come from the category rows' block kernel;
-    Pearson goes pair by pair through the pool's memo.
+    once for the whole batch, by one newcomers x members block from the
+    category rows' block kernel.
     """
     pool_ids = np.asarray(state.pool_remaining, dtype=np.int64)
     newcomer_ids = sorted(int(u) for u in rng.choice(pool_ids, size=count, replace=False))
@@ -176,12 +151,8 @@ def _draw_and_admit(
     state.categories = np.concatenate([state.categories, rows])
     k = len(state.members)
     state.members.extend(newcomers)
-    if state.measure.kind is AffinityKind.PEARSON:
-        antigen_block = affinity_block(state.measure, [state.antigen], newcomers)
-        block = _memo_block(state, newcomers, params)
-    else:
-        antigen_block = category_affinity(state.measure, state.antigen_categories, rows)
-        block = _usable(*category_affinity(state.measure, rows, state.categories), params)
+    antigen_block = category_affinity(state.measure, state.antigen_categories, rows)
+    block = _usable(*category_affinity(state.measure, rows, state.categories), params)
     state.antigen_affinities = np.append(
         state.antigen_affinities, _usable(*antigen_block, params)[0]
     )
@@ -317,9 +288,7 @@ def run_to_convergence(
     consecutive iterations; hitting ``max_iterations`` first returns the
     current population with ``converged=False`` and a warning. A step that
     leaves any concentration NaN or infinite raises :class:`ImmunorecError`
-    naming the antigen user and the iteration. Pearson runs on one pool
-    share its memo of antibody-antibody affinities, which cannot change any
-    result.
+    naming the antigen user and the iteration.
     """
     rng = np.random.default_rng(seed)
     state = init_population(antigen, pool, measure, params, rng)

@@ -1,23 +1,22 @@
-import importlib
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from immunorec import (
     AffinityKind,
     AffinityMeasure,
     UserProfile,
-    affinity,
     build_frequency_table,
     kendalls_tau,
     pearson_baseline,
     tie_ignored_fraction,
     weighted_kappa,
 )
-from immunorec.affinity import _exact_dtype, affinity_block
+from immunorec.affinity import _exact_dtype, affinity, category_affinity, category_matrix
 from immunorec.errors import InsufficientOverlapError
 from immunorec.immune_network import ImmuneParams, _usable
 
@@ -317,27 +316,63 @@ class TestAffinityDispatch:
             AffinityMeasure(AffinityKind.WEIGHTED_KAPPA, min_overlap=0)
 
 
+def test_package_attribute_is_the_affinity_module():
+    import immunorec
+    import immunorec.affinity as module
+
+    assert isinstance(module, types.ModuleType)
+    assert immunorec.affinity is module
+    assert module.affinity is affinity
+
+
 def _ratings(max_movie: int, min_size: int):
+    # up to 16 ratings, so overlaps pass 8, where numpy's float sums switch
+    # from one accumulator to eight
     return st.dictionaries(
-        st.integers(1, max_movie), st.integers(1, 6), min_size=min_size, max_size=8
+        st.integers(1, max_movie), st.integers(1, 6), min_size=min_size, max_size=16
     )
+
+
+def _seeded_ratings(seed: int, movies: range) -> dict[int, int]:
+    rng = np.random.default_rng(seed)
+    return {m: int(rng.integers(1, 7)) for m in movies}
+
+
+def _kernel(measure, rows, cols):
+    """category_affinity of the category rows of ``rows`` and ``cols`` on the movies of ``cols``."""
+    movies = np.unique(np.concatenate([p.movie_array for p in cols]))
+    return category_affinity(measure, category_matrix(rows, movies), category_matrix(cols, movies))
 
 
 class TestAffinityBlock:
     @given(
-        pool=st.lists(_ratings(12, min_size=1), min_size=1, max_size=5),
-        antigen=_ratings(20, min_size=0),
+        pool=st.lists(_ratings(20, min_size=1), min_size=1, max_size=5),
+        antigen=_ratings(28, min_size=0),
         kind=st.sampled_from(AffinityKind),
         min_overlap=st.sampled_from([1, 2, 3]),
         remap=st.booleans(),
     )
+    # overlaps above 128, where numpy sums by recursive halving, and a
+    # constant profile, whose Pearson pairs are 0 without the short flag
+    @example(
+        pool=[
+            _seeded_ratings(1, range(1, 161)),
+            _seeded_ratings(2, range(11, 181)),
+            _seeded_ratings(3, range(21, 201)),
+            {m: 4 for m in range(1, 201)},
+        ],
+        antigen=_seeded_ratings(4, range(1, 151)),
+        kind=AffinityKind.PEARSON,
+        min_overlap=2,
+        remap=False,
+    )
     def test_equals_per_pair_usable(self, pool, antigen, kind, min_overlap, remap):
-        # the antigen may rate movies 13..20, which no pool profile has
+        # the antigen may rate movies 21..28, which no pool profile has
         profiles = [UserProfile(uid, ratings) for uid, ratings in enumerate(pool, start=1)]
         rows = [UserProfile(99, antigen), *profiles]
         measure = AffinityMeasure(kind, min_overlap=min_overlap)
         params = ImmuneParams(remap_negative=remap)
-        got = _usable(*affinity_block(measure, rows, profiles), params)
+        got = _usable(*_kernel(measure, rows, profiles), params)
         want = [
             [float(_usable(v.value, v.insufficient_overlap, params))
              for v in (affinity(measure, a, b) for b in profiles)]
@@ -355,9 +390,14 @@ class TestAffinityBlock:
 
     def test_reference_pair(self, reference_pair):
         a, b = reference_pair
-        values, short = affinity_block(AffinityMeasure(AffinityKind.WEIGHTED_KAPPA), [a, b], [a, b])
-        assert values.tolist() == [[1.0, 0.725], [0.725, 1.0]]
-        assert not short.any()
+        for kind in AffinityKind:
+            measure = AffinityMeasure(kind)
+            values, short = _kernel(measure, [a, b], [a, b])
+            want = [[affinity(measure, p, q).value for q in (a, b)] for p in (a, b)]
+            assert values.tolist() == want
+            assert not short.any()
+            if kind is AffinityKind.WEIGHTED_KAPPA:
+                assert values.tolist() == [[1.0, 0.725], [0.725, 1.0]]
 
     @pytest.mark.parametrize(
         "kind, movies, dtype",
@@ -375,12 +415,10 @@ class TestAffinityBlock:
 
     @pytest.mark.parametrize("kind", [AffinityKind.WEIGHTED_KAPPA, AffinityKind.KENDALLS_TAU])
     def test_float64_branch_equals_per_pair(self, kind, monkeypatch):
-        # the package attribute ``immunorec.affinity`` is the function, not the module
-        module = importlib.import_module("immunorec.affinity")
-        monkeypatch.setattr(module, "_exact_dtype", lambda kind, movies: np.float64)
+        monkeypatch.setattr("immunorec.affinity._exact_dtype", lambda kind, movies: np.float64)
         profiles = [_random_pair(seed, min_common=2)[i] for seed in range(8) for i in (0, 1)]
         measure = AffinityMeasure(kind)
-        values, short = affinity_block(measure, profiles, profiles)
+        values, short = _kernel(measure, profiles, profiles)
         want = [[affinity(measure, a, b) for b in profiles] for a in profiles]
         assert values.tolist() == [[v.value for v in row] for row in want]
         assert short.tolist() == [[v.insufficient_overlap for v in row] for row in want]

@@ -12,13 +12,13 @@ from immunorec import (
     Dataset,
     ImmuneParams,
     UserProfile,
-    affinity,
     concentration_step,
     generate_synthetic,
     init_population,
     prune_and_replace,
     run_to_convergence,
 )
+from immunorec.affinity import affinity
 from immunorec.immune_network import AisState, _usable
 from immunorec.errors import EmptyPoolError
 
@@ -287,8 +287,7 @@ class TestPruneAndReplace:
 
     @pytest.mark.parametrize("min_overlap", [2, 3])
     @pytest.mark.parametrize("remap", [False, True], ids=["raw", "remap"])
-    @pytest.mark.parametrize("kind", [AffinityKind.WEIGHTED_KAPPA, AffinityKind.KENDALLS_TAU],
-                             ids=["wk", "kt"])
+    @pytest.mark.parametrize("kind", list(AffinityKind), ids=["wk", "kt", "pearson"])
     def test_run_held_rows_match_recompute(self, kind, remap, min_overlap):
         # the block kernel over the run-held category rows: real steps with
         # pruning on, several newcomers per prune, and an antigen rating
@@ -405,37 +404,6 @@ class TestRunToConvergence:
         assert [p.user_id for p, _ in one.members] == [p.user_id for p, _ in two.members]
         assert [w for _, w in one.members] == [w for _, w in two.members]
         assert (one.converged, one.iterations_used) == (two.converged, two.iterations_used)
-
-    def test_reused_memo_matches_fresh(self):
-        # Pearson runs share the pool's memo; a memo filled by earlier runs
-        # (with another remap setting too) must give what a fresh pool gives
-        pool = _small_pool(60)
-        pearson = AffinityMeasure(AffinityKind.PEARSON)
-        antigens = [UserProfile(999, {m: (m * 5 % 6) + 1 for m in range(1, 11)}), pool.users[7]]
-        for remap in (False, True, False):
-            params = ImmuneParams(
-                population_size=12, stability_window=20, max_iterations=30,
-                remap_negative=remap,
-            )
-            for seed, antigen in enumerate(antigens):
-                reused = run_to_convergence(antigen, pool, pearson, params, seed=seed)
-                fresh = run_to_convergence(
-                    antigen, Dataset.from_profiles(pool), pearson, params, seed
-                )
-                assert reused == fresh
-        assert {key[1] for key in pool.affinity_memo} == {False, True}
-
-    @pytest.mark.parametrize("kind", [AffinityKind.WEIGHTED_KAPPA, AffinityKind.KENDALLS_TAU])
-    def test_kernel_measures_leave_memo_empty(self, kind):
-        pool = _small_pool(60)
-        antigen = UserProfile(999, {m: (m * 5 % 6) + 1 for m in range(1, 11)})
-        for remap in (False, True):
-            params = ImmuneParams(
-                population_size=12, stability_window=20, max_iterations=30,
-                remap_negative=remap,
-            )
-            run_to_convergence(antigen, pool, AffinityMeasure(kind), params, seed=1)
-        assert pool.affinity_memo == {}
 
     def test_weights_never_negative(self, standard_dataset):
         antigen = standard_dataset.users[3]
