@@ -22,6 +22,7 @@ symmetric, so transposing never changes the kappa value).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,14 +180,16 @@ def _pearson(cats_a: np.ndarray, cats_b: np.ndarray) -> PearsonResult:
     n = len(cats_a)
     if n < 2:
         raise InsufficientOverlapError(needed=2, found=n)
-    if (cats_a == cats_a[0]).all() or (cats_b == cats_b[0]).all():
+    # r is the same on raw categories as on the 0-1 scale, and there every
+    # moment is an exact integer: the only roundings are the variance
+    # product, the square root and the division
+    a, b = cats_a.tolist(), cats_b.tolist()
+    sum_a, sum_b = sum(a), sum(b)
+    covariance = n * sum(x * y for x, y in zip(a, b)) - sum_a * sum_b
+    variances = (n * sum(x * x for x in a) - sum_a**2) * (n * sum(y * y for y in b) - sum_b**2)
+    if variances == 0:  # a constant side
         return PearsonResult(0.0, degenerate=True)
-
-    x = (cats_a - 1) / 5
-    y = (cats_b - 1) / 5
-    xd = x - x.mean()
-    yd = y - y.mean()
-    r = float((xd * yd).sum() / np.sqrt((xd * xd).sum() * (yd * yd).sum()))
+    r = float(covariance) / math.sqrt(float(variances))
     return PearsonResult(min(1.0, max(-1.0, r)))
 
 
@@ -248,14 +251,18 @@ def category_matrix(profiles: list[UserProfile], movies: np.ndarray) -> np.ndarr
     return matrix
 
 
-def _exact_dtype(kind: AffinityKind, movies: int) -> type[np.floating]:
-    """float32 while a block kernel's integer sums stay below 2**24, else float64.
+#: Most that one movie column adds to a block kernel's integer sums: a Weighted
+#: Kappa credit, a Kendall's Tau table count, a Pearson product of categories.
+_PER_MOVIE = {
+    AffinityKind.WEIGHTED_KAPPA: NUM_CATEGORIES - 1,
+    AffinityKind.KENDALLS_TAU: 1,
+    AffinityKind.PEARSON: NUM_CATEGORIES**2,
+}
 
-    A Weighted Kappa credit sum grows by at most 5 per movie column, a
-    Kendall's Tau table count by at most 1.
-    """
-    per_movie = NUM_CATEGORIES - 1 if kind is AffinityKind.WEIGHTED_KAPPA else 1
-    return np.float32 if per_movie * movies < 2**24 else np.float64
+
+def _exact_dtype(kind: AffinityKind, movies: int) -> type[np.floating]:
+    """float32 while a block kernel's integer sums stay below 2**24, else float64."""
+    return np.float32 if _PER_MOVIE[kind] * movies < 2**24 else np.float64
 
 
 def _onehot(block: np.ndarray, dtype: type[np.floating]) -> np.ndarray:
@@ -275,18 +282,19 @@ def category_affinity(
     Weighted Kappa is credit ``sum_c onehot_c(a) @ (sum_d credit[c, d]
     onehot_d(b))^T`` over overlap ``(a > 0) @ (b > 0)^T``. Kendall's Tau
     takes every pair's 6x6 table f from one one-hot product and counts
-    ``2(C - D) = f^T S f + f^T f - n`` with ``S`` = ``_TAU_FORM``. The
-    products run in float32 while their integers stay below 2**24 (float64
-    from there), the quadratic form in float64 (exact while n**2 < 2**53),
-    so every count is exact whatever the BLAS order or thread count, and the
-    one float64 division gives the per-pair functions' correctly rounded
-    double. Pearson repeats the per-pair float operations, see
-    :func:`_pearson_block`.
+    ``2(C - D) = f^T S f + f^T f - n`` with ``S`` = ``_TAU_FORM``. Pearson
+    takes the moments n, sum a, sum b, sum ab, sum a^2 and sum b^2 of the raw
+    categories from products of ``a > 0``, ``a`` and ``a * a`` with the same
+    for ``b``. The products run in float32 while their integers stay below
+    2**24 (float64 from there), the quadratic form in float64 (exact while
+    n**2 < 2**53), so every count is exact whatever the BLAS order or thread
+    count. What follows is elementwise float64 and rounds where the per-pair
+    functions do: once for WK and KT (the division), three times for Pearson
+    (the variance product, the square root, the division), so each value is
+    theirs bit for bit.
     """
     rated = (a > 0).any(axis=0)  # movies no row of ``a`` rated count for no pair
     a, b = a[:, rated], b[:, rated]
-    if measure.kind is AffinityKind.PEARSON:
-        return _pearson_block(a, b, _needed(measure))
     exact = _exact_dtype(measure.kind, a.shape[1])
     if measure.kind is AffinityKind.WEIGHTED_KAPPA:
         lookup = _CREDIT_LOOKUP.astype(exact)
@@ -295,63 +303,32 @@ def category_affinity(
         )
         overlap = ((a > 0).astype(exact) @ (b > 0).astype(exact).T).astype(np.float64)
         denominator = (NUM_CATEGORIES - 1) * overlap
-    else:
+    elif measure.kind is AffinityKind.KENDALLS_TAU:
         g = NUM_CATEGORIES
         products = (_onehot(a, exact) @ _onehot(b, exact).T).reshape(len(a), g, len(b), g)
         tables = products.swapaxes(1, 2).reshape(len(a), len(b), g * g).astype(np.float64)
         overlap = tables.sum(axis=2)
         numerator = ((tables @ _TAU_FORM + tables) * tables).sum(axis=2) - overlap
         denominator = overlap * (overlap - 1)
+    else:  # Pearson, on raw categories: the (c - 1)/5 rescaling leaves r unchanged
+        ones_a, ones_b = (a > 0).astype(exact), (b > 0).astype(exact)
+        a, b = a.astype(exact), b.astype(exact)
+        overlap, sum_a, sum_b, sum_ab, sum_aa, sum_bb = (
+            (x @ y.T).astype(np.float64)
+            for x, y in [(ones_a, ones_b), (a, ones_b), (ones_a, b),
+                         (a, b), (a * a, ones_b), (ones_a, b * b)]
+        )
+        covariance = overlap * sum_ab - sum_a * sum_b
+        spread = np.sqrt((overlap * sum_aa - sum_a**2) * (overlap * sum_bb - sum_b**2))
+        # |covariance| <= spread (Cauchy-Schwarz, and the roundings keep it),
+        # so the clip, like the per-pair clamp, only guards r in [-1, 1].
+        # spread is 0 or at least 1: a constant side gives 0 / 1 and is not
+        # flagged short.
+        numerator = np.clip(covariance, -spread, spread)
+        denominator = np.maximum(spread, 1.0)
     short = overlap < _needed(measure)
     values = np.divide(
         numerator, denominator, out=np.zeros(short.shape), where=~short, dtype=np.float64
     )
     return values, short
 
-
-def _pearson_block(a: np.ndarray, b: np.ndarray, needed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pearson of every row of ``a`` with every row of ``b``, bit for bit as :func:`_pearson`.
-
-    The pairs sharing at least ``needed`` movies are sorted by overlap n, so
-    each n owns one contiguous (pairs x n) block of common categories, and
-    every step of :func:`_pearson` runs on it row by row: numpy reduces each
-    row exactly as it reduces the per-pair vector. Rows are never padded to a
-    common length, which would change that summation order. A constant side
-    gives 0 without the short flag.
-    """
-    overlap = (a > 0).astype(np.float64) @ (b > 0).astype(np.float64).T  # exact counts
-    short = overlap < needed
-    i, j = np.nonzero(~short)
-    order = np.argsort(overlap[i, j], kind="stable")
-    i, j = i[order], j[order]
-    sizes = overlap[i, j].astype(np.intp)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    # Gather each pair from the columns its ``a`` row rated, ascending, so the
-    # work grows with the most ratings in a row, not with the movies.
-    width = (a > 0).sum(axis=1).max(initial=0)
-    own_columns = np.argsort(a == 0, axis=1, kind="stable")[:, :width]
-    own = np.take_along_axis(a, own_columns, axis=1)
-    own_columns = np.where(own > 0, own_columns, a.shape[1])  # pad with an added unrated column
-    padded = np.concatenate([b, np.zeros((len(b), 1), dtype=np.int8)], axis=1)
-    cats_b = padded[:, own_columns][j, i]  # (pairs, slots)
-    common = cats_b > 0
-    cats_b = cats_b[common]  # flat, pair after pair; frees the block before ``own[i]``
-    cats_a = own[i][common]
-    constant = np.zeros(len(i), dtype=bool)
-    for cats in (cats_a, cats_b):
-        constant |= np.minimum.reduceat(cats, starts) == np.maximum.reduceat(cats, starts)
-    sums = np.empty((3, len(i)))  # per pair: sum xd*yd, sum xd*xd, sum yd*yd
-    bounds = np.flatnonzero(np.diff(sizes, prepend=-1, append=-1)).tolist()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        n = sizes[lo]
-        span = slice(starts[lo], ends[hi - 1])
-        x = (cats_a[span].reshape(hi - lo, n) - 1) / 5
-        y = (cats_b[span].reshape(hi - lo, n) - 1) / 5
-        x -= x.sum(axis=1, keepdims=True) / n  # numpy's mean: the sum over n
-        y -= y.sum(axis=1, keepdims=True) / n
-        sums[:, lo:hi] = (x * y).sum(axis=1), (x * x).sum(axis=1), (y * y).sum(axis=1)
-    r = np.divide(sums[0], np.sqrt(sums[1] * sums[2]), out=np.zeros(len(i)), where=~constant)
-    values = np.zeros(overlap.shape)
-    values[i, j] = np.clip(r, -1.0, 1.0)
-    return values, short

@@ -18,6 +18,7 @@ measures. That makes two runs with different measures a true paired design.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 import math
@@ -183,20 +184,6 @@ def _eligible_antigens(antigens: Dataset, trials: int) -> list[int]:
     return [uid for uid in antigens.user_ids if len(antigens.users[uid]) > trials]
 
 
-_WORKER: tuple | None = None
-
-
-def _worker_init(pool: Dataset, measure: AffinityMeasure, params: ImmuneParams,
-                 trials: int, seed: int) -> None:
-    global _WORKER
-    _WORKER = (pool, measure, params, trials, seed)
-
-
-def _worker_run(antigen: UserProfile) -> AccuracyRow:
-    assert _WORKER is not None
-    return user_accuracy(antigen, *_WORKER)
-
-
 def accuracy_experiment(
     antigens: Dataset,
     pool: Dataset,
@@ -228,19 +215,17 @@ def accuracy_experiment(
     )
     profiles = [antigens.users[uid] for uid in sample]
 
+    run = functools.partial(
+        user_accuracy, pool=pool, measure=measure, params=params, trials=trials, seed=seed
+    )
     # with the fork start method every worker starts at the first submit
     workers = min(jobs, len(profiles), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(pool, measure, params, trials, seed),
-        ) as executor:
-            rows = list(executor.map(_worker_run, profiles))
+        # one chunk per worker, so each worker unpickles the pool once
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            rows = list(executor.map(run, profiles, chunksize=math.ceil(len(profiles) / workers)))
     else:
-        rows = [
-            user_accuracy(antigen, pool, measure, params, trials, seed) for antigen in profiles
-        ]
+        rows = [run(antigen) for antigen in profiles]
 
     return ExperimentReport(
         kind="accuracy",

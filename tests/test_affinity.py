@@ -1,4 +1,6 @@
+import math
 import types
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,13 @@ from immunorec import (
     tie_ignored_fraction,
     weighted_kappa,
 )
-from immunorec.affinity import _exact_dtype, affinity, category_affinity, category_matrix
+from immunorec.affinity import (
+    PearsonResult,
+    _exact_dtype,
+    affinity,
+    category_affinity,
+    category_matrix,
+)
 from immunorec.errors import InsufficientOverlapError
 from immunorec.immune_network import ImmuneParams, _usable
 
@@ -88,6 +96,23 @@ def oracle_pearson(a: UserProfile, b: UserProfile) -> float:
     vx = sum((x - mx) ** 2 for x in xs)
     vy = sum((y - my) ** 2 for y in ys)
     return cov / (vx * vy) ** 0.5
+
+
+def exact_pearson(a: UserProfile, b: UserProfile) -> Decimal | None:
+    """Pearson from the exact integer moments to 50 digits; None for a constant side."""
+    common = sorted(set(a.categories) & set(b.categories))
+    xs = [a.categories[m] for m in common]
+    ys = [b.categories[m] for m in common]
+    n = len(common)
+    covariance = n * sum(x * y for x, y in zip(xs, ys)) - sum(xs) * sum(ys)
+    variance_a = n * sum(x * x for x in xs) - sum(xs) ** 2
+    variance_b = n * sum(y * y for y in ys) - sum(ys) ** 2
+    variances = variance_a * variance_b
+    if variances == 0:
+        return None
+    with localcontext() as context:
+        context.prec = 50
+        return Decimal(covariance) / Decimal(variances).sqrt()
 
 
 class TestFrequencyTable:
@@ -269,6 +294,22 @@ class TestPearsonBaseline:
         with pytest.raises(InsufficientOverlapError):
             pearson_baseline(UserProfile(1, {1: 3, 2: 3}), UserProfile(2, {1: 3, 9: 3}))
 
+    def test_zero_covariance_is_exactly_zero(self):
+        a = UserProfile(1, {1: 1, 2: 2, 3: 3, 4: 4})
+        b = UserProfile(2, {1: 2, 2: 1, 3: 1, 4: 2})
+        assert pearson_baseline(a, b) == PearsonResult(0.0, degenerate=False)
+
+    def test_within_two_ulp_of_exact(self):
+        for seed in range(200):
+            a, b = _random_pair(seed, min_common=2)
+            result = pearson_baseline(a, b)
+            exact = exact_pearson(a, b)
+            if exact is None:
+                assert result == PearsonResult(0.0, degenerate=True), f"seed {seed}"
+                continue
+            error = abs(Decimal(result.value) - exact)
+            assert error <= 2 * Decimal(math.ulp(float(exact))), f"seed {seed}"
+
     def test_matches_two_pass_oracle(self):
         checked = 0
         for seed in range(200):
@@ -326,8 +367,6 @@ def test_package_attribute_is_the_affinity_module():
 
 
 def _ratings(max_movie: int, min_size: int):
-    # up to 16 ratings, so overlaps pass 8, where numpy's float sums switch
-    # from one accumulator to eight
     return st.dictionaries(
         st.integers(1, max_movie), st.integers(1, 6), min_size=min_size, max_size=16
     )
@@ -352,8 +391,9 @@ class TestAffinityBlock:
         min_overlap=st.sampled_from([1, 2, 3]),
         remap=st.booleans(),
     )
-    # overlaps above 128, where numpy sums by recursive halving, and a
-    # constant profile, whose Pearson pairs are 0 without the short flag
+    # overlaps of 130 to 180 movies, far past what the generated profiles
+    # reach, and a constant profile, whose Pearson pairs are 0 without the
+    # short flag
     @example(
         pool=[
             _seeded_ratings(1, range(1, 161)),
@@ -406,14 +446,16 @@ class TestAffinityBlock:
             (AffinityKind.WEIGHTED_KAPPA, (2**24 - 1) // 5 + 1, np.float64),
             (AffinityKind.KENDALLS_TAU, 2**24 - 1, np.float32),
             (AffinityKind.KENDALLS_TAU, 2**24, np.float64),
+            (AffinityKind.PEARSON, (2**24 - 1) // 36, np.float32),
+            (AffinityKind.PEARSON, (2**24 - 1) // 36 + 1, np.float64),
         ],
     )
     def test_exact_dtype_boundaries(self, kind, movies, dtype):
-        # WK credit sums reach 5 per movie, KT table counts 1: float32 holds
-        # every integer below 2**24
+        # WK credit sums reach 5 per movie, KT table counts 1, Pearson's sums
+        # of category products 36: float32 holds every integer below 2**24
         assert _exact_dtype(kind, movies) is dtype
 
-    @pytest.mark.parametrize("kind", [AffinityKind.WEIGHTED_KAPPA, AffinityKind.KENDALLS_TAU])
+    @pytest.mark.parametrize("kind", list(AffinityKind))
     def test_float64_branch_equals_per_pair(self, kind, monkeypatch):
         monkeypatch.setattr("immunorec.affinity._exact_dtype", lambda kind, movies: np.float64)
         profiles = [_random_pair(seed, min_common=2)[i] for seed in range(8) for i in (0, 1)]

@@ -162,9 +162,8 @@ class TestAccuracyExperiment:
         started = []
 
         class InlineExecutor:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 started.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -172,11 +171,10 @@ class TestAccuracyExperiment:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, items):
+            def map(self, fn, items, chunksize):
                 return map(fn, items)
 
         monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlineExecutor)
-        monkeypatch.setattr(evaluation, "_WORKER", None)
         monkeypatch.setattr(evaluation.os, "cpu_count", lambda: cpus)
         data = self._clustered()
         kwargs = dict(users=users, trials=3, seed=8)
