@@ -467,11 +467,12 @@ def build_parser() -> _Parser:
         sub.add_argument("--users", type=_positive_int, required=True)
         sub.add_argument("--trials", type=_positive_int, default=20)
         sub.add_argument("--jobs", type=_positive_int, default=1)
-        sub.add_argument(
+        split = sub.add_mutually_exclusive_group()
+        split.add_argument(
             "--pool-threshold", type=_nonnegative_int, default=None, metavar="ID",
             help="user ids above this form the pool, the rest are test users",
         )
-        sub.add_argument(
+        split.add_argument(
             "--split-fraction", type=float, default=None, metavar="F",
             help="seeded random split: this fraction of users forms the pool",
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -71,8 +71,7 @@ def mean_rating(profiles: Iterable[UserProfile]) -> float:
 class UserProfile:
     """A user's ratings, stored as movie_id -> category index.
 
-    ``categories`` is treated as immutable after construction. Use
-    :meth:`from_ratings` to build a profile from 0-1 scale values.
+    ``categories`` is treated as immutable after construction.
     """
 
     user_id: int
@@ -88,11 +87,6 @@ class UserProfile:
                 raise InvalidCategoryError(
                     f"user {self.user_id}, movie {movie_id}: category {category!r} outside 1..6"
                 )
-
-    @classmethod
-    def from_ratings(cls, user_id: int, ratings: Mapping[int, float]) -> "UserProfile":
-        """Build a profile from 0-1 scale ratings, validating each scale point."""
-        return cls(user_id, {m: category_from_rating(r) for m, r in ratings.items()})
 
     @cached_property
     def movie_array(self) -> np.ndarray:

@@ -168,8 +168,9 @@ def user_accuracy(
             value = prediction.value
             fallbacks += int(prediction.fallback)
         else:
-            # Extinct population (exhausted pool): fall back to the pool mean.
-            value = mean_rating(pool)
+            # Extinct population (exhausted pool): fall back to the mean of the
+            # eligible candidates, so the antigen's own pool entry stays unseen.
+            value = mean_rating(p for p in pool if p.user_id != antigen.user_id)
             fallbacks += 1
         total_error += abs(value - actual)
     return AccuracyRow(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,16 +88,15 @@ class AisState:
     """Mutable run state: membership, concentrations, affinities and category rows.
 
     ``members`` is in admission order and indexes the concentration vector,
-    the antigen-affinity vector, the rows/columns of the pairwise matrix and
-    the rows of ``categories``. ``categories`` and ``antigen_categories``
-    are int8 category rows (see :func:`~immunorec.affinity.category_matrix`)
-    over the pool's ascending movie ids, for the members and the antigen;
-    every affinity of the run comes from the block kernel over them.
-    Member ids, ``pool_remaining`` and ``discarded`` stay mutually disjoint
-    and together always cover the original eligible candidate set.
+    the antigen-affinity vector and the rows/columns of the pairwise matrix.
+    ``categories`` holds int8 category rows (see
+    :func:`~immunorec.affinity.category_matrix`) over the pool's ascending
+    movie ids: row 0 is the antigen's and row ``i + 1`` belongs to
+    ``members[i]``; every affinity of the run comes from the block kernel
+    over them. A drawn id leaves ``pool_remaining`` for good, so member ids
+    and ``pool_remaining`` stay disjoint and pruned ids are never redrawn.
     """
 
-    antigen: UserProfile
     pool: Dataset
     measure: AffinityMeasure
     members: list[UserProfile]
@@ -105,9 +104,7 @@ class AisState:
     antigen_affinities: np.ndarray
     matrix: np.ndarray
     categories: np.ndarray
-    antigen_categories: np.ndarray
     pool_remaining: list[int]
-    discarded: set[int] = field(default_factory=set)
     stable_count: int = 0
 
     @property
@@ -139,11 +136,11 @@ def _draw_and_admit(
 
     Newcomers join in ascending id order at ``initial_concentration``; their
     category rows are appended, and the vectors and the affinity matrix grow
-    once for the whole batch, by one newcomers x members block from the
-    category rows' block kernel.
+    once for the whole batch, from one newcomers x [antigen; members] block of
+    the category rows' block kernel: column 0 holds the newcomers' antigen
+    affinities and the other columns their member block.
     """
-    pool_ids = np.asarray(state.pool_remaining, dtype=np.int64)
-    newcomer_ids = sorted(int(u) for u in rng.choice(pool_ids, size=count, replace=False))
+    newcomer_ids = sorted(rng.choice(state.pool_remaining, size=count, replace=False).tolist())
     state.pool_remaining = sorted(set(state.pool_remaining) - set(newcomer_ids))
 
     newcomers = [state.pool.users[uid] for uid in newcomer_ids]
@@ -151,18 +148,15 @@ def _draw_and_admit(
     state.categories = np.concatenate([state.categories, rows])
     k = len(state.members)
     state.members.extend(newcomers)
-    antigen_block = category_affinity(state.measure, state.antigen_categories, rows)
     block = _usable(*category_affinity(state.measure, rows, state.categories), params)
-    state.antigen_affinities = np.append(
-        state.antigen_affinities, _usable(*antigen_block, params)[0]
-    )
+    state.antigen_affinities = np.append(state.antigen_affinities, block[:, 0])
     state.concentrations = np.append(
         state.concentrations, np.full(count, params.initial_concentration)
     )
     grown = np.empty((k + count, k + count), dtype=np.float64)
     grown[:k, :k] = state.matrix
-    grown[k:] = block
-    grown[:k, k:] = block[:, :k].T
+    grown[k:] = block[:, 1:]
+    grown[:k, k:] = block[:, 1 : k + 1].T
     state.matrix = grown
 
 
@@ -181,7 +175,7 @@ def init_population(
 
     Raises :class:`EmptyPoolError` when no candidate exists.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     eligible = [uid for uid in pool.user_ids if uid != antigen.user_id]
     if not eligible:
         raise EmptyPoolError("no eligible candidate antibodies in the pool")
@@ -194,15 +188,13 @@ def init_population(
             len(eligible),
         )
     state = AisState(
-        antigen=antigen,
         pool=pool,
         measure=measure,
         members=[],
         concentrations=np.empty(0),
         antigen_affinities=np.empty(0),
         matrix=np.empty((0, 0)),
-        categories=np.empty((0, len(pool.movie_array)), dtype=np.int8),
-        antigen_categories=category_matrix([antigen], pool.movie_array),
+        categories=category_matrix([antigen], pool.movie_array),
         pool_remaining=eligible,
     )
     _draw_and_admit(state, size, params, rng)
@@ -250,15 +242,13 @@ def prune_and_replace(
     below = state.concentrations < params.prune_threshold
     if below.any():
         keep = ~below
-        removed = [p.user_id for p, gone in zip(state.members, below) if gone]
-        state.discarded.update(removed)
         state.members = [p for p, stay in zip(state.members, keep) if stay]
         state.concentrations = state.concentrations[keep]
         state.antigen_affinities = state.antigen_affinities[keep]
         state.matrix = state.matrix[np.ix_(keep, keep)]
-        state.categories = state.categories[keep]
+        state.categories = state.categories[np.append(True, keep)]
 
-        want = len(removed)
+        want = int(below.sum())
         draw = min(want, len(state.pool_remaining))
         if draw < want:
             log.info(

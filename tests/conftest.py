@@ -2,7 +2,13 @@
 
 import pytest
 
-from immunorec import Dataset, SyntheticConfig, UserProfile, generate_synthetic
+from immunorec import (
+    Dataset,
+    SyntheticConfig,
+    UserProfile,
+    category_from_rating,
+    generate_synthetic,
+)
 
 # Canonical worked example used throughout the affinity tests: two overlapping
 # profiles whose kappa/tau values were verified by hand, cell by cell.
@@ -22,11 +28,16 @@ STANDARD_SYNTHETIC = SyntheticConfig(
 )
 
 
+def rated(user_id: int, ratings: dict[int, float]) -> UserProfile:
+    """A profile from 0-1 scale ratings, each checked against the scale."""
+    return UserProfile(user_id, {m: category_from_rating(r) for m, r in ratings.items()})
+
+
 @pytest.fixture
 def reference_pair() -> tuple[UserProfile, UserProfile]:
     return (
-        UserProfile.from_ratings(1, REFERENCE_USER_1),
-        UserProfile.from_ratings(2, REFERENCE_USER_2),
+        rated(1, REFERENCE_USER_1),
+        rated(2, REFERENCE_USER_2),
     )
 
 

@@ -279,8 +279,8 @@ class TestPearsonBaseline:
         assert not result.degenerate
 
     def test_midpoint_negation(self):
-        a = UserProfile.from_ratings(1, {1: 0.6, 2: 1.0, 3: 0.8})
-        b = UserProfile.from_ratings(2, {1: 0.4, 2: 0.0, 3: 0.2})
+        a = UserProfile(1, {1: 4, 2: 6, 3: 5})
+        b = UserProfile(2, {1: 3, 2: 1, 3: 2})
         assert pearson_baseline(a, b).value == pytest.approx(-1.0, abs=1e-12)
 
     def test_zero_variance_flagged(self):

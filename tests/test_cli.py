@@ -307,6 +307,17 @@ class TestEval:
         err = capsys.readouterr().err
         assert err == "immunorec: config error: split_fraction must lie strictly between 0 and 1\n"
 
+    @pytest.mark.parametrize("command", ["accuracy", "compare"])
+    def test_threshold_and_fraction_together_exit_one(self, data_file, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "eval", command, str(data_file), "--min-ratings", "1",
+                "--users", "2", "--trials", "2", "--seed", "5",
+                "--pool-threshold", "10", "--split-fraction", "0.5",
+            ])
+        assert excinfo.value.code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("report, expected", [
     (

@@ -102,6 +102,21 @@ class TestUserAccuracy:
         reduced = antigen.without_movie(5)
         assert 5 not in reduced
 
+    def test_extinct_fallback_skips_own_pool_entry(self):
+        # no overlap anywhere: every member decays below the threshold, the
+        # pool runs dry and each trial falls back to a mean rating, which
+        # must not include the antigen's own (full) profile
+        antigen = UserProfile(1, {m: 6 for m in range(1, 6)})
+        others = [
+            UserProfile(uid, {10 * uid + k: 1 for k in range(3)}) for uid in range(2, 5)
+        ]
+        pool = Dataset.from_profiles([antigen, *others])
+        params = ImmuneParams(population_size=3, max_iterations=60, stability_window=100)
+        measure = AffinityMeasure(AffinityKind.WEIGHTED_KAPPA, min_overlap=1)
+        row = user_accuracy(antigen, pool, measure, params, trials=2, seed=0)
+        assert row.fallback_trials == 2
+        assert row.accuracy == 0.0
+
 
 class TestAccuracyExperiment:
     def _clustered(self):

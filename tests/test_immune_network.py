@@ -36,27 +36,27 @@ def _bare_state(affinities, matrix, concentrations):
     """Hand-assembled state for arithmetic checks; profiles are placeholders."""
     members = [UserProfile(i + 1, {1: 3}) for i in range(len(affinities))]
     return AisState(
-        antigen=UserProfile(999, {1: 3}),
         pool=Dataset.from_profiles(members),
         measure=WK,
         members=members,
         concentrations=np.asarray(concentrations, dtype=np.float64),
         antigen_affinities=np.asarray(affinities, dtype=np.float64),
         matrix=np.asarray(matrix, dtype=np.float64),
-        categories=np.full((len(members), 1), 3, dtype=np.int8),
-        antigen_categories=np.full((1, 1), 3, dtype=np.int8),
+        categories=np.full((len(members) + 1, 1), 3, dtype=np.int8),
         pool_remaining=[],
     )
 
 
-def _assert_matches_recompute(state: AisState, params: ImmuneParams) -> None:
+def _assert_matches_recompute(
+    state: AisState, antigen: UserProfile, params: ImmuneParams
+) -> None:
     """The incrementally grown affinities equal a from-scratch per-pair recompute."""
 
     def usable(a: UserProfile, b: UserProfile) -> float:
         value = affinity(state.measure, a, b)
         return float(_usable(value.value, value.insufficient_overlap, params))
 
-    assert state.antigen_affinities.tolist() == [usable(state.antigen, p) for p in state.members]
+    assert state.antigen_affinities.tolist() == [usable(antigen, p) for p in state.members]
     assert state.matrix.tolist() == [[usable(a, b) for b in state.members] for a in state.members]
 
 
@@ -231,7 +231,6 @@ class TestPruneAndReplace:
         prune_and_replace(state, params, rng)
         assert len(state.members) == 10
         assert victim not in state.member_ids
-        assert victim in state.discarded
         assert victim not in state.pool_remaining
         assert state.concentrations[-1] == params.initial_concentration
         assert state.stable_count == 0
@@ -255,17 +254,18 @@ class TestPruneAndReplace:
         params = ImmuneParams(population_size=6)
         state = init_population(antigen, pool, WK, params, seed=2)
         rng = np.random.default_rng(1)
-        seen_discarded = set()
+        discarded = set()
         for _ in range(20):
             state.concentrations[0] = 0.0
+            before = set(state.member_ids)
             prune_and_replace(state, params, rng)
-            assert seen_discarded.isdisjoint(state.member_ids)
-            seen_discarded |= state.discarded
             members = set(state.member_ids)
-            assert members.isdisjoint(state.discarded)
+            assert discarded.isdisjoint(members)
+            discarded |= before - members
+            assert members.isdisjoint(discarded)
             assert members.isdisjoint(state.pool_remaining)
-            assert members | state.discarded | set(state.pool_remaining) == set(pool.user_ids)
-            _assert_matches_recompute(state, params)
+            assert members | discarded | set(state.pool_remaining) == set(pool.user_ids)
+            _assert_matches_recompute(state, antigen, params)
             if not state.members:
                 break
 
@@ -276,14 +276,14 @@ class TestPruneAndReplace:
         kt = AffinityMeasure(AffinityKind.KENDALLS_TAU)
         params = ImmuneParams(population_size=10, remap_negative=True)
         state = init_population(antigen, pool, kt, params, seed=4)
-        _assert_matches_recompute(state, params)
+        _assert_matches_recompute(state, antigen, params)
         assert len(set(state.antigen_affinities.tolist())) > 1
         rng = np.random.default_rng(2)
         while state.pool_remaining:
             state.concentrations[[0, 4, 7]] = 0.0
             prune_and_replace(state, params, rng)
             assert len(state.members) == 10
-            _assert_matches_recompute(state, params)
+            _assert_matches_recompute(state, antigen, params)
 
     @pytest.mark.parametrize("min_overlap", [2, 3])
     @pytest.mark.parametrize("remap", [False, True], ids=["raw", "remap"])
@@ -297,10 +297,18 @@ class TestPruneAndReplace:
         measure = AffinityMeasure(kind, min_overlap=min_overlap)
         params = ImmuneParams(population_size=10, stability_window=50, remap_negative=remap)
         state = init_population(antigen, pool, measure, params, seed=4)
-        assert state.antigen_categories.tolist() == [
-            [antigen.categories.get(int(m), 0) for m in pool.movie_array]
-        ]
-        _assert_matches_recompute(state, params)
+
+        def assert_rows():
+            # row 0 is the antigen's, row i + 1 belongs to members[i]
+            assert state.categories[0].tolist() == [
+                antigen.categories.get(int(m), 0) for m in pool.movie_array
+            ]
+            assert state.categories[1:].tolist() == [
+                [p.categories.get(int(m), 0) for m in pool.movie_array] for p in state.members
+            ]
+
+        assert_rows()
+        _assert_matches_recompute(state, antigen, params)
         assert len(set(state.antigen_affinities.tolist())) > 1
         rng = np.random.default_rng(2)
         prunes = 0
@@ -311,10 +319,8 @@ class TestPruneAndReplace:
             prune_and_replace(state, params, rng)
             assert len(before - set(state.member_ids)) >= 2
             prunes += 1
-            _assert_matches_recompute(state, params)
-            assert state.categories.tolist() == [
-                [p.categories.get(int(m), 0) for m in pool.movie_array] for p in state.members
-            ]
+            _assert_matches_recompute(state, antigen, params)
+            assert_rows()
         assert prunes >= 5
 
     @settings(max_examples=60, deadline=None)
@@ -332,8 +338,8 @@ class TestPruneAndReplace:
     ):
         # default rates, remapped affinities: after every step and every prune
         # the concentrations are finite and non-negative, members, the
-        # remaining pool and the discarded set partition the eligible
-        # candidates, and exactly the pruned ids join the discarded set
+        # remaining pool and the ids pruned so far partition the eligible
+        # candidates, and a pruned id never comes back
         rng = np.random.default_rng(pool_seed)
         profiles = [
             UserProfile(uid, {
@@ -351,6 +357,7 @@ class TestPruneAndReplace:
         )
         run_rng = np.random.default_rng(run_seed)
         state = init_population(antigen, pool, AffinityMeasure(kind), params, run_rng)
+        discarded: set[int] = set()
 
         def check_concentrations():
             assert np.isfinite(state.concentrations).all()
@@ -359,20 +366,20 @@ class TestPruneAndReplace:
         def check_partition():
             members, remaining = set(state.member_ids), set(state.pool_remaining)
             assert len(members) == len(state.members)
-            assert members.isdisjoint(remaining) and members.isdisjoint(state.discarded)
-            assert remaining.isdisjoint(state.discarded)
-            assert members | remaining | state.discarded == eligible
+            assert members.isdisjoint(remaining) and members.isdisjoint(discarded)
+            assert remaining.isdisjoint(discarded)
+            assert members | remaining | discarded == eligible
 
         check_concentrations()
         check_partition()
         for _ in range(40):
             concentration_step(state, params)
             check_concentrations()
-            members, discarded = set(state.member_ids), set(state.discarded)
+            before = set(state.member_ids)
             prune_and_replace(state, params, run_rng)
+            discarded |= before - set(state.member_ids)
             check_concentrations()
             check_partition()
-            assert state.discarded == discarded | (members - set(state.member_ids))
             if not state.members:
                 break
 

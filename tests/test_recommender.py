@@ -12,6 +12,8 @@ from immunorec import (
 from immunorec.errors import EmptyPopulationError
 from immunorec.domain import mean_rating
 
+from conftest import rated
+
 
 def _population(*members: tuple[UserProfile, float]) -> FinalPopulation:
     return FinalPopulation(members=tuple(members), converged=True, iterations_used=10)
@@ -20,8 +22,8 @@ def _population(*members: tuple[UserProfile, float]) -> FinalPopulation:
 class TestPredictRating:
     def test_weighted_mean(self):
         population = _population(
-            (UserProfile.from_ratings(1, {10: 1.0}), 2.0),
-            (UserProfile.from_ratings(2, {10: 0.4}), 1.0),
+            (rated(1, {10: 1.0}), 2.0),
+            (rated(2, {10: 0.4}), 1.0),
         )
         prediction = predict_rating(population, 10)
         assert prediction.value == pytest.approx(0.8, abs=1e-12)
@@ -30,16 +32,16 @@ class TestPredictRating:
 
     def test_equal_weights_reduce_to_mean(self):
         population = _population(
-            (UserProfile.from_ratings(1, {10: 0.2}), 0.7),
-            (UserProfile.from_ratings(2, {10: 0.4}), 0.7),
-            (UserProfile.from_ratings(3, {10: 0.6}), 0.7),
+            (rated(1, {10: 0.2}), 0.7),
+            (rated(2, {10: 0.4}), 0.7),
+            (rated(3, {10: 0.6}), 0.7),
         )
         assert predict_rating(population, 10).value == pytest.approx(0.4, abs=1e-12)
 
     def test_single_contributor(self):
         population = _population(
-            (UserProfile.from_ratings(1, {10: 0.8}), 0.3),
-            (UserProfile.from_ratings(2, {11: 0.2}), 5.0),
+            (rated(1, {10: 0.8}), 0.3),
+            (rated(2, {11: 0.2}), 5.0),
         )
         prediction = predict_rating(population, 10)
         assert prediction.value == 0.8
@@ -47,8 +49,8 @@ class TestPredictRating:
 
     def test_fallback_when_unrated(self):
         population = _population(
-            (UserProfile.from_ratings(1, {11: 0.2}), 1.0),
-            (UserProfile.from_ratings(2, {12: 0.6}), 1.0),
+            (rated(1, {11: 0.2}), 1.0),
+            (rated(2, {12: 0.6}), 1.0),
         )
         prediction = predict_rating(population, 10)
         assert prediction.fallback
@@ -57,8 +59,8 @@ class TestPredictRating:
 
     def test_zero_weight_raters_do_not_contribute(self):
         population = _population(
-            (UserProfile.from_ratings(1, {10: 1.0}), 0.0),
-            (UserProfile.from_ratings(2, {10: 0.2}), 1.0),
+            (rated(1, {10: 1.0}), 0.0),
+            (rated(2, {10: 0.2}), 1.0),
         )
         prediction = predict_rating(population, 10)
         assert prediction.value == 0.2
@@ -66,8 +68,8 @@ class TestPredictRating:
 
     def test_only_zero_weight_raters_falls_back(self):
         population = _population(
-            (UserProfile.from_ratings(1, {10: 1.0}), 0.0),
-            (UserProfile.from_ratings(2, {11: 0.2}), 1.0),
+            (rated(1, {10: 1.0}), 0.0),
+            (rated(2, {11: 0.2}), 1.0),
         )
         prediction = predict_rating(population, 10)
         assert prediction.fallback
@@ -120,13 +122,13 @@ class TestPredictRating:
 class TestRecommendTopN:
     def _fixture_population(self):
         return _population(
-            (UserProfile.from_ratings(1, {10: 1.0, 11: 0.2, 12: 0.6}), 2.0),
-            (UserProfile.from_ratings(2, {10: 0.8, 13: 0.4}), 1.0),
-            (UserProfile.from_ratings(3, {11: 0.4, 13: 0.8}), 1.0),
+            (rated(1, {10: 1.0, 11: 0.2, 12: 0.6}), 2.0),
+            (rated(2, {10: 0.8, 13: 0.4}), 1.0),
+            (rated(3, {11: 0.4, 13: 0.8}), 1.0),
         )
 
     def test_excludes_antigen_movies_and_ranks(self):
-        antigen = UserProfile.from_ratings(9, {12: 0.6})
+        antigen = rated(9, {12: 0.6})
         result = recommend_top_n(self._fixture_population(), antigen, 10)
         ids = [entry.movie_id for entry in result]
         assert 12 not in ids
@@ -135,25 +137,25 @@ class TestRecommendTopN:
         assert ids[0] == 10  # (2*1.0 + 1*0.8)/3
 
     def test_count_larger_than_candidates(self):
-        antigen = UserProfile.from_ratings(9, {99: 0.6})
+        antigen = rated(9, {99: 0.6})
         result = recommend_top_n(self._fixture_population(), antigen, 50)
         assert len(result) == 4  # movies 10, 11, 12, 13
 
     def test_antigen_rated_everything(self):
-        antigen = UserProfile.from_ratings(9, {10: 0.2, 11: 0.2, 12: 0.2, 13: 0.2})
+        antigen = rated(9, {10: 0.2, 11: 0.2, 12: 0.2, 13: 0.2})
         result = recommend_top_n(self._fixture_population(), antigen, 5)
         assert result == ()
 
     def test_count_validation(self):
-        antigen = UserProfile.from_ratings(9, {99: 0.6})
+        antigen = rated(9, {99: 0.6})
         with pytest.raises(ValueError):
             recommend_top_n(self._fixture_population(), antigen, 0)
 
     def test_tie_break_by_movie_id(self):
         population = _population(
-            (UserProfile.from_ratings(1, {20: 0.6, 30: 0.6}), 1.0),
+            (rated(1, {20: 0.6, 30: 0.6}), 1.0),
         )
-        antigen = UserProfile.from_ratings(9, {99: 0.6})
+        antigen = rated(9, {99: 0.6})
         result = recommend_top_n(population, antigen, 2)
         assert [entry.movie_id for entry in result] == [20, 30]
 
@@ -200,8 +202,8 @@ class TestRecommendTopN:
 
 def test_population_mean_counts_each_rating_once():
     population = _population(
-        (UserProfile.from_ratings(1, {10: 1.0, 11: 0.0}), 5.0),
-        (UserProfile.from_ratings(2, {12: 0.6}), 1.0),
+        (rated(1, {10: 1.0, 11: 0.0}), 5.0),
+        (rated(2, {12: 0.6}), 1.0),
     )
     profiles = (profile for profile, _ in population.members)
     assert mean_rating(profiles) == pytest.approx((1.0 + 0.0 + 0.6) / 3, abs=1e-12)
