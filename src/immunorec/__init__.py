@@ -10,6 +10,7 @@ measure: Weighted Kappa, Kendall's Tau, or a Pearson baseline.
 from .affinity import (
     AffinityKind,
     AffinityMeasure,
+    PoolAffinities,
     build_frequency_table,
     kendalls_tau,
     pearson_baseline,
@@ -59,6 +60,7 @@ __all__ = [
     "FinalPopulation",
     "ImmuneParams",
     "IngestConfig",
+    "PoolAffinities",
     "SyntheticConfig",
     "UserProfile",
     "accuracy_experiment",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import NUM_CATEGORIES, UserProfile, common_categories
+from .domain import NUM_CATEGORIES, Dataset, UserProfile, common_categories
 from .errors import InsufficientOverlapError
 
 #: Integer agreement credit per cell: 5 down to 0 as categories drift apart.
@@ -241,6 +241,8 @@ def category_matrix(profiles: list[UserProfile], movies: np.ndarray) -> np.ndarr
     Ratings of movies outside ``movies`` are left out: they share nothing
     with any profile whose movies all lie in it.
     """
+    if not profiles:
+        return np.zeros((0, len(movies)), dtype=np.int8)
     ids = np.concatenate([p.movie_array for p in profiles])
     owner = np.repeat(np.arange(len(profiles)), [len(p) for p in profiles])
     categories = np.concatenate([p.category_array for p in profiles])
@@ -278,57 +280,160 @@ def category_affinity(
 
     ``a`` and ``b`` are int8 category blocks over the same movie columns, as
     :func:`category_matrix` builds them.
+    """
+    return _affinity_values(measure, *_affinity_terms(measure.kind, a, b))
 
-    Weighted Kappa is credit ``sum_c onehot_c(a) @ (sum_d credit[c, d]
-    onehot_d(b))^T`` over overlap ``(a > 0) @ (b > 0)^T``. Kendall's Tau
-    takes every pair's 6x6 table f from one one-hot product and counts
-    ``2(C - D) = f^T S f + f^T f - n`` with ``S`` = ``_TAU_FORM``. Pearson
-    takes the moments n, sum a, sum b, sum ab, sum a^2 and sum b^2 of the raw
-    categories from products of ``a > 0``, ``a`` and ``a * a`` with the same
-    for ``b``. The products run in float32 while their integers stay below
-    2**24 (float64 from there), the quadratic form in float64 (exact while
-    n**2 < 2**53), so every count is exact whatever the BLAS order or thread
-    count. What follows is elementwise float64 and rounds where the per-pair
-    functions do: once for WK and KT (the division), three times for Pearson
-    (the variance product, the square root, the division), so each value is
-    theirs bit for bit.
+
+def _affinity_terms(
+    kind: AffinityKind, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair's (numerator, overlap) for :func:`_affinity_values`.
+
+    Weighted Kappa's numerator is the credit ``sum_c onehot_c(a) @ (sum_d
+    credit[c, d] onehot_d(b))^T``, the overlap ``(a > 0) @ (b > 0)^T``.
+    Kendall's Tau takes every pair's 6x6 table f from one one-hot product
+    and counts ``2(C - D) = f^T S f + f^T f - n`` with ``S`` =
+    ``_TAU_FORM``. Pearson takes the moments n, sum a, sum b, sum ab, sum a^2
+    and sum b^2 of the raw categories from products of ``a > 0``, ``a`` and
+    ``a * a`` with the same for ``b``, and its numerator is r itself. The
+    products run in float32 while their integers stay below 2**24 (float64
+    from there), the quadratic form in float64 (exact while n**2 < 2**53),
+    so every count is exact whatever the BLAS order or thread count. Pearson
+    then rounds where :func:`pearson_baseline` does: the variance product,
+    the square root and the division, so r is its value bit for bit.
     """
     rated = (a > 0).any(axis=0)  # movies no row of ``a`` rated count for no pair
     a, b = a[:, rated], b[:, rated]
-    exact = _exact_dtype(measure.kind, a.shape[1])
-    if measure.kind is AffinityKind.WEIGHTED_KAPPA:
+    exact = _exact_dtype(kind, a.shape[1])
+    if kind is AffinityKind.WEIGHTED_KAPPA:
         lookup = _CREDIT_LOOKUP.astype(exact)
-        numerator = sum(
+        credit = sum(
             (a == c).astype(exact) @ lookup[c][b].T for c in range(1, NUM_CATEGORIES + 1)
         )
-        overlap = ((a > 0).astype(exact) @ (b > 0).astype(exact).T).astype(np.float64)
-        denominator = (NUM_CATEGORIES - 1) * overlap
-    elif measure.kind is AffinityKind.KENDALLS_TAU:
+        return credit, (a > 0).astype(exact) @ (b > 0).astype(exact).T
+    if kind is AffinityKind.KENDALLS_TAU:
         g = NUM_CATEGORIES
         products = (_onehot(a, exact) @ _onehot(b, exact).T).reshape(len(a), g, len(b), g)
         tables = products.swapaxes(1, 2).reshape(len(a), len(b), g * g).astype(np.float64)
         overlap = tables.sum(axis=2)
-        numerator = ((tables @ _TAU_FORM + tables) * tables).sum(axis=2) - overlap
-        denominator = overlap * (overlap - 1)
-    else:  # Pearson, on raw categories: the (c - 1)/5 rescaling leaves r unchanged
-        ones_a, ones_b = (a > 0).astype(exact), (b > 0).astype(exact)
-        a, b = a.astype(exact), b.astype(exact)
-        overlap, sum_a, sum_b, sum_ab, sum_aa, sum_bb = (
-            (x @ y.T).astype(np.float64)
-            for x, y in [(ones_a, ones_b), (a, ones_b), (ones_a, b),
-                         (a, b), (a * a, ones_b), (ones_a, b * b)]
-        )
-        covariance = overlap * sum_ab - sum_a * sum_b
-        spread = np.sqrt((overlap * sum_aa - sum_a**2) * (overlap * sum_bb - sum_b**2))
-        # |covariance| <= spread (Cauchy-Schwarz, and the roundings keep it),
-        # so the clip, like the per-pair clamp, only guards r in [-1, 1].
-        # spread is 0 or at least 1: a constant side gives 0 / 1 and is not
-        # flagged short.
-        numerator = np.clip(covariance, -spread, spread)
-        denominator = np.maximum(spread, 1.0)
+        return ((tables @ _TAU_FORM + tables) * tables).sum(axis=2) - overlap, overlap
+    # Pearson, on raw categories: the (c - 1)/5 rescaling leaves r unchanged
+    ones_a, ones_b = (a > 0).astype(exact), (b > 0).astype(exact)
+    a, b = a.astype(exact), b.astype(exact)
+    overlap, sum_a, sum_b, sum_ab, sum_aa, sum_bb = (
+        (x @ y.T).astype(np.float64)
+        for x, y in [(ones_a, ones_b), (a, ones_b), (ones_a, b),
+                     (a, b), (a * a, ones_b), (ones_a, b * b)]
+    )
+    covariance = overlap * sum_ab - sum_a * sum_b
+    spread = np.sqrt((overlap * sum_aa - sum_a**2) * (overlap * sum_bb - sum_b**2))
+    # |covariance| <= spread (Cauchy-Schwarz, and the roundings keep it), so
+    # the clip, like the per-pair clamp, only guards r in [-1, 1]. spread is
+    # 0 or at least 1: a constant side gives 0 / 1 and is not flagged short.
+    return np.clip(covariance, -spread, spread) / np.maximum(spread, 1.0), overlap
+
+
+def _affinity_values(
+    measure: AffinityMeasure, numerator: np.ndarray, overlap: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, short flags) from :func:`_affinity_terms`' exact terms, of any dtype.
+
+    Short pairs are 0. Weighted Kappa divides its credit by ``5 n`` and
+    Kendall's Tau ``2(C - D)`` by ``n (n - 1)``, once each in float64, so
+    each value is the per-pair one bit for bit; Pearson's numerator already
+    is r.
+    """
+    overlap = overlap.astype(np.float64, copy=False)
     short = overlap < _needed(measure)
+    if measure.kind is AffinityKind.PEARSON:
+        return np.where(short, 0.0, numerator), short
+    if measure.kind is AffinityKind.WEIGHTED_KAPPA:
+        denominator = (NUM_CATEGORIES - 1) * overlap
+    else:
+        denominator = overlap * (overlap - 1)
     values = np.divide(
         numerator, denominator, out=np.zeros(short.shape), where=~short, dtype=np.float64
     )
     return values, short
 
+
+def _count_dtype(bound: int) -> type[np.signedinteger]:
+    """The narrowest signed integer type that holds every integer in [-bound, bound]."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+
+
+def _terms_dtypes(kind: AffinityKind, longest: int) -> tuple[type, type]:
+    """Exact (numerator, overlap) storage for pairs that share at most ``longest`` movies.
+
+    A Weighted Kappa credit reaches ``5 n`` and a Kendall's Tau ``|2(C - D)|``
+    ``n (n - 1)``; Pearson's r is no integer and stays float64.
+    """
+    bounds = {
+        AffinityKind.WEIGHTED_KAPPA: (NUM_CATEGORIES - 1) * longest,
+        AffinityKind.KENDALLS_TAU: longest * (longest - 1),
+    }
+    numerator = _count_dtype(bounds[kind]) if kind in bounds else np.float64
+    return numerator, _count_dtype(longest)
+
+
+#: Rows per kernel call while a pool's terms are built. Larger chunks run
+#: faster but raise the peak memory of the kernel's temporaries.
+_POOL_CHUNK = 5
+
+
+class PoolAffinities:
+    """The affinities among one pool's users, addressed by pool row.
+
+    Row ``i`` is the ``i``-th user of ``dataset.user_ids``. :meth:`block`
+    gives, for any rows x cols, exactly the (values, short flags) of
+    :func:`category_affinity` on those users' category rows. A plain
+    instance runs the kernel on every call, over rows built for the call, so
+    it costs nothing up front; :meth:`precomputed` runs it once over every
+    pair of the pool and keeps its exact terms, so that a block is one index
+    and the final division.
+    """
+
+    def __init__(self, dataset: Dataset, measure: AffinityMeasure) -> None:
+        self.measure = measure
+        self.movies = dataset.movie_array
+        ids = dataset.user_ids
+        self.user_ids = np.array(ids, dtype=np.int64)
+        self.profiles = [dataset.users[uid] for uid in ids]
+        self.categories: np.ndarray | None = None
+        self.terms: tuple[np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def precomputed(cls, dataset: Dataset, measure: AffinityMeasure) -> PoolAffinities:
+        """Category rows and exact terms of the whole pool, built once.
+
+        The kernel runs on ``_POOL_CHUNK`` rows at a time against the rows
+        from there on, and each chunk is mirrored, since every term is
+        symmetric. Integer terms take the narrowest type their bounds allow.
+        """
+        pool = cls(dataset, measure)
+        categories = pool.categories = category_matrix(pool.profiles, pool.movies)
+        n = len(categories)
+        longest = int((categories > 0).sum(axis=1).max(initial=0))
+        terms = tuple(np.empty((n, n), dtype) for dtype in _terms_dtypes(measure.kind, longest))
+        for start in range(0, n, _POOL_CHUNK):
+            stop = start + _POOL_CHUNK
+            chunk = _affinity_terms(measure.kind, categories[start:stop], categories[start:])
+            for store, values in zip(terms, chunk):
+                store[start:stop, start:] = values
+                store[start:, start:stop] = values.T
+        pool.terms = terms
+        return pool
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """The int8 category rows of pool rows ``idx`` over the pool's movies."""
+        if self.categories is not None:
+            return self.categories[idx]
+        return category_matrix([self.profiles[i] for i in idx], self.movies)
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values, short flags) of every pool row ``rows`` with every pool row ``cols``."""
+        if self.terms is None:
+            categories = self.rows(np.concatenate([rows, cols]))
+            return category_affinity(self.measure, categories[: len(rows)], categories[len(rows) :])
+        index = np.ix_(rows, cols)
+        return _affinity_values(self.measure, *(store[index] for store in self.terms))

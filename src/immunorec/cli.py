@@ -26,6 +26,7 @@ import numpy as np
 from .affinity import (
     AffinityKind,
     AffinityMeasure,
+    PoolAffinities,
     kendalls_tau,
     pearson_baseline,
     weighted_kappa,
@@ -294,7 +295,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     antigen = dataset.users[args.user]
     measure = _measure_from(args)
     params = _params_from(args)
-    final = run_to_convergence(antigen, dataset, measure, params, args.seed)
+    final = run_to_convergence(antigen, PoolAffinities(dataset, measure), params, args.seed)
     recommendations = recommend_top_n(final, antigen, args.count)
 
     status = "converged" if final.converged else "did not converge"

@@ -29,7 +29,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .affinity import AffinityMeasure, tie_ignored_fraction
+from .affinity import AffinityMeasure, PoolAffinities, tie_ignored_fraction
 from .domain import Dataset, UserProfile, mean_rating
 from .errors import (
     ImmunorecError,
@@ -129,8 +129,7 @@ def _trial_seed(seed: int, user_id: int, trial_index: int) -> int:
 
 def user_accuracy(
     antigen: UserProfile,
-    pool: Dataset,
-    measure: AffinityMeasure,
+    pool: PoolAffinities,
     params: ImmuneParams,
     trials: int = 20,
     seed: int = 0,
@@ -159,7 +158,6 @@ def user_accuracy(
         final = run_to_convergence(
             antigen.without_movie(movie_id),
             pool,
-            measure,
             params,
             _trial_seed(seed, antigen.user_id, trial_index),
         )
@@ -170,7 +168,7 @@ def user_accuracy(
         else:
             # Extinct population (exhausted pool): fall back to the mean of the
             # eligible candidates, so the antigen's own pool entry stays unseen.
-            value = mean_rating(p for p in pool if p.user_id != antigen.user_id)
+            value = mean_rating(p for p in pool.profiles if p.user_id != antigen.user_id)
             fallbacks += 1
         total_error += abs(value - actual)
     return AccuracyRow(
@@ -198,10 +196,11 @@ def accuracy_experiment(
 ) -> ExperimentReport:
     """Hidden-rating accuracy over a seeded sample of eligible test users.
 
-    Eligible users rated more than ``trials`` movies. At most ``jobs``
-    worker processes run, and never more than there are sampled users or
-    CPUs. Results are identical for any ``jobs`` value because every trial
-    seeds itself from (seed, user id, trial index) alone.
+    Eligible users rated more than ``trials`` movies. The pool's affinities
+    are precomputed once, before any trial, and every run indexes them. At
+    most ``jobs`` worker processes run, and never more than there are
+    sampled users or CPUs. Results are identical for any ``jobs`` value
+    because every trial seeds itself from (seed, user id, trial index) alone.
 
     Raises :class:`InsufficientAntigensError` when the sample cannot be drawn.
     """
@@ -217,12 +216,16 @@ def accuracy_experiment(
     profiles = [antigens.users[uid] for uid in sample]
 
     run = functools.partial(
-        user_accuracy, pool=pool, measure=measure, params=params, trials=trials, seed=seed
+        user_accuracy,
+        pool=PoolAffinities.precomputed(pool, measure),
+        params=params,
+        trials=trials,
+        seed=seed,
     )
     # with the fork start method every worker starts at the first submit
     workers = min(jobs, len(profiles), os.cpu_count() or 1)
     if workers > 1:
-        # one chunk per worker, so each worker unpickles the pool once
+        # one chunk per worker, so each worker unpickles the pool's affinities once
         with ProcessPoolExecutor(max_workers=workers) as executor:
             rows = list(executor.map(run, profiles, chunksize=math.ceil(len(profiles) / workers)))
     else:

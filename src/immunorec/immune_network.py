@@ -18,7 +18,8 @@ iterations.
 
 Updates are simultaneous (all dx_i computed from the pre-step state) and all
 randomness flows through one seeded generator, so a run is a pure function
-of (antigen, pool, measure, params, seed).
+of (antigen, pool, measure, params, seed), whether the pool's affinities are
+precomputed or computed block by block.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import AffinityMeasure, category_affinity, category_matrix
-from .domain import Dataset, UserProfile
+from .affinity import PoolAffinities, category_affinity, category_matrix
+from .domain import UserProfile
 from .errors import EmptyPoolError, ImmunorecError
 
 log = logging.getLogger(__name__)
@@ -85,31 +86,29 @@ class ImmuneParams:
 
 @dataclass
 class AisState:
-    """Mutable run state: membership, concentrations, affinities and category rows.
+    """Mutable run state: membership, concentrations and affinities, by pool row.
 
-    ``members`` is in admission order and indexes the concentration vector,
-    the antigen-affinity vector and the rows/columns of the pairwise matrix.
-    ``categories`` holds int8 category rows (see
-    :func:`~immunorec.affinity.category_matrix`) over the pool's ascending
-    movie ids: row 0 is the antigen's and row ``i + 1`` belongs to
-    ``members[i]``; every affinity of the run comes from the block kernel
-    over them. A drawn id leaves ``pool_remaining`` for good, so member ids
-    and ``pool_remaining`` stay disjoint and pruned ids are never redrawn.
+    ``members`` holds pool rows (see :class:`~immunorec.affinity.PoolAffinities`)
+    in admission order and indexes the concentration vector, the
+    antigen-affinity vector and the rows/columns of the pairwise matrix.
+    ``pool_remaining`` holds the rows not drawn yet, ascending; a drawn row
+    leaves it for good, so members and ``pool_remaining`` stay disjoint and
+    pruned rows are never redrawn. ``antigen`` is the antigen's int8 category
+    row over the pool's movies.
     """
 
-    pool: Dataset
-    measure: AffinityMeasure
-    members: list[UserProfile]
+    pool: PoolAffinities
+    antigen: np.ndarray
+    members: np.ndarray
     concentrations: np.ndarray
     antigen_affinities: np.ndarray
     matrix: np.ndarray
-    categories: np.ndarray
-    pool_remaining: list[int]
+    pool_remaining: np.ndarray
     stable_count: int = 0
 
     @property
     def member_ids(self) -> list[int]:
-        return [p.user_id for p in self.members]
+        return self.pool.user_ids[self.members].tolist()
 
 
 @dataclass(frozen=True)
@@ -134,36 +133,36 @@ def _draw_and_admit(
 ) -> None:
     """Move ``count`` uniform draws from ``pool_remaining`` into the population.
 
-    Newcomers join in ascending id order at ``initial_concentration``; their
-    category rows are appended, and the vectors and the affinity matrix grow
-    once for the whole batch, from one newcomers x [antigen; members] block of
-    the category rows' block kernel: column 0 holds the newcomers' antigen
-    affinities and the other columns their member block.
+    Newcomers join in ascending row (so user id) order at
+    ``initial_concentration``. Their antigen affinities come from the block
+    kernel over the antigen's and their category rows, their member block
+    from the pool; the vectors and the affinity matrix grow once for the
+    whole batch.
     """
-    newcomer_ids = sorted(rng.choice(state.pool_remaining, size=count, replace=False).tolist())
-    state.pool_remaining = sorted(set(state.pool_remaining) - set(newcomer_ids))
+    pool = state.pool
+    drawn = np.zeros(len(state.pool_remaining), dtype=bool)
+    drawn[rng.choice(len(drawn), size=count, replace=False)] = True
+    newcomers = state.pool_remaining[drawn]
+    state.pool_remaining = state.pool_remaining[~drawn]
 
-    newcomers = [state.pool.users[uid] for uid in newcomer_ids]
-    rows = category_matrix(newcomers, state.pool.movie_array)
-    state.categories = np.concatenate([state.categories, rows])
     k = len(state.members)
-    state.members.extend(newcomers)
-    block = _usable(*category_affinity(state.measure, rows, state.categories), params)
-    state.antigen_affinities = np.append(state.antigen_affinities, block[:, 0])
+    state.members = np.append(state.members, newcomers)
+    stimulation = category_affinity(pool.measure, state.antigen, pool.rows(newcomers))
+    block = _usable(*pool.block(newcomers, state.members), params)
+    state.antigen_affinities = np.append(state.antigen_affinities, _usable(*stimulation, params)[0])
     state.concentrations = np.append(
         state.concentrations, np.full(count, params.initial_concentration)
     )
     grown = np.empty((k + count, k + count), dtype=np.float64)
     grown[:k, :k] = state.matrix
-    grown[k:] = block[:, 1:]
-    grown[:k, k:] = block[:, 1 : k + 1].T
+    grown[k:] = block
+    grown[:k, k:] = block[:, :k].T
     state.matrix = grown
 
 
 def init_population(
     antigen: UserProfile,
-    pool: Dataset,
-    measure: AffinityMeasure,
+    pool: PoolAffinities,
     params: ImmuneParams,
     seed: int | np.random.Generator,
 ) -> AisState:
@@ -176,8 +175,8 @@ def init_population(
     Raises :class:`EmptyPoolError` when no candidate exists.
     """
     rng = np.random.default_rng(seed)
-    eligible = [uid for uid in pool.user_ids if uid != antigen.user_id]
-    if not eligible:
+    eligible = np.flatnonzero(pool.user_ids != antigen.user_id)
+    if len(eligible) == 0:
         raise EmptyPoolError("no eligible candidate antibodies in the pool")
 
     size = min(params.population_size, len(eligible))
@@ -189,12 +188,11 @@ def init_population(
         )
     state = AisState(
         pool=pool,
-        measure=measure,
-        members=[],
+        antigen=category_matrix([antigen], pool.movies),
+        members=np.empty(0, dtype=eligible.dtype),
         concentrations=np.empty(0),
         antigen_affinities=np.empty(0),
         matrix=np.empty((0, 0)),
-        categories=category_matrix([antigen], pool.movie_array),
         pool_remaining=eligible,
     )
     _draw_and_admit(state, size, params, rng)
@@ -233,7 +231,7 @@ def prune_and_replace(
 ) -> AisState:
     """Discard antibodies below the prune threshold and refill from the pool.
 
-    Pruned user ids are permanently discarded (never redrawn). Replacements
+    Pruned pool rows are permanently discarded (never redrawn). Replacements
     are drawn uniformly from the untouched remainder of the pool, up to the
     removed count; an exhausted pool shrinks the population instead. The
     stability counter resets on any membership change and increments
@@ -242,11 +240,10 @@ def prune_and_replace(
     below = state.concentrations < params.prune_threshold
     if below.any():
         keep = ~below
-        state.members = [p for p, stay in zip(state.members, keep) if stay]
+        state.members = state.members[keep]
         state.concentrations = state.concentrations[keep]
         state.antigen_affinities = state.antigen_affinities[keep]
         state.matrix = state.matrix[np.ix_(keep, keep)]
-        state.categories = state.categories[np.append(True, keep)]
 
         want = int(below.sum())
         draw = min(want, len(state.pool_remaining))
@@ -267,8 +264,7 @@ def prune_and_replace(
 
 def run_to_convergence(
     antigen: UserProfile,
-    pool: Dataset,
-    measure: AffinityMeasure,
+    pool: PoolAffinities,
     params: ImmuneParams,
     seed: int,
 ) -> FinalPopulation:
@@ -281,7 +277,7 @@ def run_to_convergence(
     naming the antigen user and the iteration.
     """
     rng = np.random.default_rng(seed)
-    state = init_population(antigen, pool, measure, params, rng)
+    state = init_population(antigen, pool, params, rng)
 
     converged = False
     iterations = 0
@@ -302,9 +298,9 @@ def run_to_convergence(
             params.max_iterations,
             state.stable_count,
         )
-    if not state.members:
+    if len(state.members) == 0:
         log.warning("population went extinct (pool exhausted and all pruned)")
     members = tuple(
-        (p, float(x)) for p, x in zip(state.members, state.concentrations)
+        (pool.profiles[i], float(x)) for i, x in zip(state.members.tolist(), state.concentrations)
     )
     return FinalPopulation(members=members, converged=converged, iterations_used=iterations)

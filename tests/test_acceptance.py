@@ -17,6 +17,7 @@ from immunorec import (
     AffinityMeasure,
     Dataset,
     ImmuneParams,
+    PoolAffinities,
     UserProfile,
     accuracy_experiment,
     build_frequency_table,
@@ -140,7 +141,7 @@ def test_criterion_06_metric_calibration():
     pool = Dataset.from_profiles(
         [UserProfile(uid, {m: 5 for m in movies}) for uid in range(1, 31)]
     )
-    row = user_accuracy(antigen, pool, WK, ImmuneParams(population_size=30),
+    row = user_accuracy(antigen, PoolAffinities(pool, WK), ImmuneParams(population_size=30),
                         trials=20, seed=3)
     ok = abs(row.accuracy - 0.8) <= 1e-12
     _line(6, ok, f"twenty one-category misses score accuracy {row.accuracy!r} (expected 0.800)")
@@ -233,7 +234,7 @@ def test_criterion_09_convergence_behavior(standard_dataset):
         antigen = standard_dataset.users[standard_dataset.user_ids[i]]
         started = time.perf_counter()
         final = run_to_convergence(
-            antigen, standard_dataset, WK, ImmuneParams(), seed=1000 + i
+            antigen, PoolAffinities(standard_dataset, WK), ImmuneParams(), seed=1000 + i
         )
         worst = max(worst, time.perf_counter() - started)
         converged += int(final.converged)

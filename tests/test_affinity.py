@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from immunorec import (
     AffinityKind,
     AffinityMeasure,
+    Dataset,
+    PoolAffinities,
     UserProfile,
     build_frequency_table,
     kendalls_tau,
@@ -21,6 +23,7 @@ from immunorec import (
 from immunorec.affinity import (
     PearsonResult,
     _exact_dtype,
+    _terms_dtypes,
     affinity,
     category_affinity,
     category_matrix,
@@ -464,3 +467,103 @@ class TestAffinityBlock:
         want = [[affinity(measure, a, b) for b in profiles] for a in profiles]
         assert values.tolist() == [[v.value for v in row] for row in want]
         assert short.tolist() == [[v.insufficient_overlap for v in row] for row in want]
+
+
+class TestPoolAffinities:
+    @given(
+        pool=st.lists(_ratings(12, min_size=1), min_size=1, max_size=8),
+        rows=st.lists(st.integers(0, 7), min_size=1, max_size=8),
+        cols=st.lists(st.integers(0, 7), min_size=1, max_size=8),
+        kind=st.sampled_from(AffinityKind),
+        min_overlap=st.sampled_from([1, 2, 3]),
+        remap=st.booleans(),
+    )
+    # overlaps of 130 to 180 movies: WK credits, KT counts and overlaps that
+    # need int16 storage, and a constant profile
+    @example(
+        pool=[
+            _seeded_ratings(1, range(1, 161)),
+            _seeded_ratings(2, range(11, 181)),
+            _seeded_ratings(3, range(21, 201)),
+            {m: 4 for m in range(1, 201)},
+        ],
+        rows=[0, 1, 2, 3],
+        cols=[3, 2, 1, 0, 0],
+        kind=AffinityKind.KENDALLS_TAU,
+        min_overlap=2,
+        remap=False,
+    )
+    def test_indexed_block_equals_fresh_kernel(self, pool, rows, cols, kind, min_overlap, remap):
+        # short pairs (movies 1..12, so many share under three movies or
+        # none), repeated rows and any order of rows and columns
+        profiles = [UserProfile(uid, ratings) for uid, ratings in enumerate(pool, start=1)]
+        dataset = Dataset.from_profiles(profiles)
+        rows = np.array(rows) % len(profiles)
+        cols = np.array(cols) % len(profiles)
+        measure = AffinityMeasure(kind, min_overlap=min_overlap)
+        params = ImmuneParams(remap_negative=remap)
+
+        def fresh(idx):
+            return category_matrix([profiles[i] for i in idx], dataset.movie_array)
+
+        want = _usable(*category_affinity(measure, fresh(rows), fresh(cols)), params)
+        stored = PoolAffinities.precomputed(dataset, measure)
+        for source in (stored, PoolAffinities(dataset, measure)):
+            values, short = source.block(rows, cols)
+            assert values.dtype == np.float64
+            assert _usable(values, short, params).tolist() == want.tolist()
+            assert source.rows(rows).tolist() == fresh(rows).tolist()
+
+    def test_integer_storage(self, standard_dataset):
+        for kind in (AffinityKind.WEIGHTED_KAPPA, AffinityKind.KENDALLS_TAU):
+            numerators, overlaps = PoolAffinities.precomputed(
+                standard_dataset, AffinityMeasure(kind)
+            ).terms
+            # 30 to 60 ratings per user
+            assert numerators.dtype == np.int16
+            assert overlaps.dtype == np.int8
+            assert np.array_equal(numerators, numerators.T)
+            assert np.array_equal(overlaps, overlaps.T)
+            assert np.diagonal(overlaps).tolist() == [len(p) for p in standard_dataset]
+
+    @pytest.mark.parametrize("users", [0, 1])
+    def test_tiny_pools(self, users):
+        dataset = Dataset.from_profiles([UserProfile(7, {1: 3, 2: 5})][:users])
+        pool = PoolAffinities.precomputed(dataset, AffinityMeasure(AffinityKind.KENDALLS_TAU))
+        assert pool.categories.shape == (users, users * 2)
+        assert [t.shape for t in pool.terms] == [(users, users)] * 2
+
+
+@pytest.mark.parametrize(
+    "kind, longest, dtype",
+    [
+        # a WK credit reaches 5 n
+        (AffinityKind.WEIGHTED_KAPPA, 25, np.int8),
+        (AffinityKind.WEIGHTED_KAPPA, 26, np.int16),
+        (AffinityKind.WEIGHTED_KAPPA, 6553, np.int16),
+        (AffinityKind.WEIGHTED_KAPPA, 6554, np.int32),
+        (AffinityKind.WEIGHTED_KAPPA, 429_496_729, np.int32),
+        (AffinityKind.WEIGHTED_KAPPA, 429_496_730, np.int64),
+        # a KT |2(C - D)| reaches n (n - 1)
+        (AffinityKind.KENDALLS_TAU, 11, np.int8),
+        (AffinityKind.KENDALLS_TAU, 12, np.int16),
+        (AffinityKind.KENDALLS_TAU, 181, np.int16),
+        (AffinityKind.KENDALLS_TAU, 182, np.int32),
+        (AffinityKind.KENDALLS_TAU, 46_341, np.int32),
+        (AffinityKind.KENDALLS_TAU, 46_342, np.int64),
+        # Pearson's r is no integer
+        (AffinityKind.PEARSON, 3, np.float64),
+    ],
+)
+def test_numerator_dtype_boundaries(kind, longest, dtype):
+    assert _terms_dtypes(kind, longest)[0] is dtype
+
+
+@pytest.mark.parametrize(
+    "longest, dtype",
+    [(127, np.int8), (128, np.int16), (32_767, np.int16), (32_768, np.int32),
+     (2**31 - 1, np.int32), (2**31, np.int64)],
+)
+def test_overlap_dtype_boundaries(longest, dtype):
+    for kind in AffinityKind:
+        assert _terms_dtypes(kind, longest)[1] is dtype

@@ -299,6 +299,19 @@ class TestEval:
             "--pool-threshold", "10", "--seed", "5",
         ]) == 0
 
+    @pytest.mark.parametrize("split", [["--pool-threshold", "100000"], []],
+                             ids=["no-user", "antigen-only"])
+    def test_accuracy_empty_pool_exits_three(self, tmp_path, capsys, split):
+        # a pool with no user, and one whose only user is the antigen
+        path = tmp_path / "single.csv"
+        path.write_text("".join(f"1,{m},4\n" for m in range(1, 11)), encoding="utf-8")
+        assert main([
+            "eval", "accuracy", str(path), "--min-ratings", "1",
+            "--users", "1", "--trials", "5", "--seed", "1", *split,
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err.endswith("runtime error: no eligible candidate antibodies in the pool\n")
+
     def test_split_fraction_out_of_range_exits_one(self, data_file, capsys):
         assert main([
             "eval", "accuracy", str(data_file), "--min-ratings", "1",

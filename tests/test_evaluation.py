@@ -10,6 +10,7 @@ from immunorec import (
     Dataset,
     ExperimentReport,
     ImmuneParams,
+    PoolAffinities,
     UserProfile,
     accuracy_experiment,
     paired_comparison,
@@ -32,9 +33,14 @@ from immunorec.errors import (
 from immunorec.immune_network import init_population
 
 WK = AffinityMeasure(AffinityKind.WEIGHTED_KAPPA)
+KT = AffinityMeasure(AffinityKind.KENDALLS_TAU)
+PEARSON = AffinityMeasure(AffinityKind.PEARSON)
 
 # Small and fast: population covers the whole pool, convergence in ten steps.
 FAST_PARAMS = ImmuneParams(population_size=30)
+
+# Remapped affinities and a 50-step stability window: runs prune and refill.
+CHURN_PARAMS = ImmuneParams(population_size=20, stability_window=50, remap_negative=True)
 
 
 def _uniform_pool(num_users, movies, category):
@@ -49,7 +55,7 @@ class TestUserAccuracy:
         movies = range(1, 26)
         antigen = UserProfile(500, {m: 4 for m in movies})
         pool = _uniform_pool(range(1, 31), movies, 4)
-        row = user_accuracy(antigen, pool, WK, FAST_PARAMS, trials=20, seed=3)
+        row = user_accuracy(antigen, PoolAffinities(pool, WK), FAST_PARAMS, trials=20, seed=3)
         assert row.accuracy == pytest.approx(1.0, abs=1e-12)
         assert row.fallback_trials == 0
         assert row.num_ratings == 25
@@ -58,21 +64,21 @@ class TestUserAccuracy:
         movies = range(1, 26)
         antigen = UserProfile(500, {m: 4 for m in movies})
         pool = _uniform_pool(range(1, 31), movies, 5)
-        row = user_accuracy(antigen, pool, WK, FAST_PARAMS, trials=20, seed=3)
+        row = user_accuracy(antigen, PoolAffinities(pool, WK), FAST_PARAMS, trials=20, seed=3)
         assert row.accuracy == pytest.approx(0.8, abs=1e-12)
 
     def test_full_scale_error_scores_zero(self):
         movies = range(1, 26)
         antigen = UserProfile(500, {m: 1 for m in movies})
         pool = _uniform_pool(range(1, 31), movies, 6)
-        row = user_accuracy(antigen, pool, WK, FAST_PARAMS, trials=20, seed=3)
+        row = user_accuracy(antigen, PoolAffinities(pool, WK), FAST_PARAMS, trials=20, seed=3)
         assert row.accuracy == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_more_ratings_than_trials(self):
         antigen = UserProfile(500, {m: 4 for m in range(1, 21)})
         pool = _uniform_pool(range(1, 5), range(1, 21), 4)
         with pytest.raises(InsufficientRatingsError):
-            user_accuracy(antigen, pool, WK, FAST_PARAMS, trials=20, seed=3)
+            user_accuracy(antigen, PoolAffinities(pool, WK), FAST_PARAMS, trials=20, seed=3)
 
     def test_hidden_movies_are_distinct_and_seeded(self):
         antigen = UserProfile(500, {m: 4 for m in range(1, 40)})
@@ -96,9 +102,9 @@ class TestUserAccuracy:
         pool = Dataset.from_profiles(
             [antigen] + [UserProfile(uid, {m: 4 for m in range(1, 30)}) for uid in range(8, 20)]
         )
-        state = init_population(antigen, pool, WK, FAST_PARAMS, seed=1)
+        state = init_population(antigen, PoolAffinities(pool, WK), FAST_PARAMS, seed=1)
         assert 7 not in state.member_ids
-        assert 7 not in state.pool_remaining
+        assert 7 not in state.pool.user_ids[state.pool_remaining]
         reduced = antigen.without_movie(5)
         assert 5 not in reduced
 
@@ -113,7 +119,7 @@ class TestUserAccuracy:
         pool = Dataset.from_profiles([antigen, *others])
         params = ImmuneParams(population_size=3, max_iterations=60, stability_window=100)
         measure = AffinityMeasure(AffinityKind.WEIGHTED_KAPPA, min_overlap=1)
-        row = user_accuracy(antigen, pool, measure, params, trials=2, seed=0)
+        row = user_accuracy(antigen, PoolAffinities(pool, measure), params, trials=2, seed=0)
         assert row.fallback_trials == 2
         assert row.accuracy == 0.0
 
@@ -164,12 +170,40 @@ class TestAccuracyExperiment:
             # nobody rated more than 20 movies
             accuracy_experiment(data, data, WK, FAST_PARAMS, users=1, trials=20, seed=2)
 
+    def _varied(self):
+        """40 users rating 12 of 30 movies in any category."""
+        rng = np.random.default_rng(56)
+        return Dataset.from_profiles(
+            UserProfile(uid, {
+                int(m): int(rng.integers(1, 7)) for m in rng.choice(30, size=12, replace=False) + 1
+            })
+            for uid in range(1, 41)
+        )
+
     def test_parallel_equals_serial(self):
-        data = self._clustered()
+        # WK on the clustered set, then KT and Pearson under churn, so that
+        # the workers prune and refill
         kwargs = dict(users=4, trials=3, seed=8)
-        serial = accuracy_experiment(data, data, WK, FAST_PARAMS, **kwargs, jobs=1)
-        parallel = accuracy_experiment(data, data, WK, FAST_PARAMS, **kwargs, jobs=2)
-        assert serial == parallel
+        for data, measure, params in [
+            (self._clustered(), WK, FAST_PARAMS),
+            (self._varied(), KT, CHURN_PARAMS),
+            (self._varied(), PEARSON, CHURN_PARAMS),
+        ]:
+            serial = accuracy_experiment(data, data, measure, params, **kwargs, jobs=1)
+            parallel = accuracy_experiment(data, data, measure, params, **kwargs, jobs=2)
+            assert serial == parallel
+
+    @pytest.mark.parametrize("measure", [WK, KT, PEARSON], ids=["wk", "kt", "pearson"])
+    def test_rows_equal_on_demand_runs(self, measure):
+        # the experiment's precomputed pool against user_accuracy on blocks
+        # computed per admission
+        data = self._varied()
+        report = accuracy_experiment(data, data, measure, CHURN_PARAMS, users=3, trials=3, seed=8)
+        on_demand = PoolAffinities(data, measure)
+        assert report.rows == tuple(
+            user_accuracy(data.users[row.user_id], on_demand, CHURN_PARAMS, trials=3, seed=8)
+            for row in report.rows
+        )
 
     @pytest.mark.parametrize("cpus, users, workers", [(3, 4, 3), (8, 2, 2), (None, 4, None)])
     def test_jobs_bounded(self, monkeypatch, cpus, users, workers):

@@ -11,6 +11,7 @@ from immunorec import (
     AffinityMeasure,
     Dataset,
     ImmuneParams,
+    PoolAffinities,
     UserProfile,
     concentration_step,
     generate_synthetic,
@@ -36,14 +37,13 @@ def _bare_state(affinities, matrix, concentrations):
     """Hand-assembled state for arithmetic checks; profiles are placeholders."""
     members = [UserProfile(i + 1, {1: 3}) for i in range(len(affinities))]
     return AisState(
-        pool=Dataset.from_profiles(members),
-        measure=WK,
-        members=members,
+        pool=PoolAffinities(Dataset.from_profiles(members), WK),
+        antigen=np.full((1, 1), 3, dtype=np.int8),
+        members=np.arange(len(members)),
         concentrations=np.asarray(concentrations, dtype=np.float64),
         antigen_affinities=np.asarray(affinities, dtype=np.float64),
         matrix=np.asarray(matrix, dtype=np.float64),
-        categories=np.full((len(members) + 1, 1), 3, dtype=np.int8),
-        pool_remaining=[],
+        pool_remaining=np.empty(0, dtype=np.int64),
     )
 
 
@@ -53,11 +53,21 @@ def _assert_matches_recompute(
     """The incrementally grown affinities equal a from-scratch per-pair recompute."""
 
     def usable(a: UserProfile, b: UserProfile) -> float:
-        value = affinity(state.measure, a, b)
+        value = affinity(state.pool.measure, a, b)
         return float(_usable(value.value, value.insufficient_overlap, params))
 
-    assert state.antigen_affinities.tolist() == [usable(antigen, p) for p in state.members]
-    assert state.matrix.tolist() == [[usable(a, b) for b in state.members] for a in state.members]
+    members = _member_profiles(state)
+    assert state.antigen_affinities.tolist() == [usable(antigen, p) for p in members]
+    assert state.matrix.tolist() == [[usable(a, b) for b in members] for a in members]
+
+
+def _member_profiles(state: AisState) -> list[UserProfile]:
+    return [state.pool.profiles[i] for i in state.members]
+
+
+def _remaining_ids(state: AisState) -> set[int]:
+    """User ids of the pool rows not drawn yet."""
+    return set(state.pool.user_ids[state.pool_remaining].tolist())
 
 
 def _small_pool(size: int, movies: int = 12) -> Dataset:
@@ -158,8 +168,8 @@ class TestInitPopulation:
         pool = _small_pool(40)
         antigen = UserProfile(999, {1: 4, 2: 5, 3: 3, 4: 2})
         params = ImmuneParams(population_size=10)
-        one = init_population(antigen, pool, WK, params, seed=42)
-        two = init_population(antigen, pool, WK, params, seed=42)
+        one = init_population(antigen, PoolAffinities(pool, WK), params, seed=42)
+        two = init_population(antigen, PoolAffinities(pool, WK), params, seed=42)
         assert one.member_ids == two.member_ids
         assert len(one.members) == 10
         assert np.all(one.concentrations == 1.0)
@@ -170,39 +180,52 @@ class TestInitPopulation:
         pool = _small_pool(200)
         antigen = UserProfile(999, {1: 4, 2: 5})
         params = ImmuneParams(population_size=20)
-        a = init_population(antigen, pool, WK, params, seed=42)
-        b = init_population(antigen, pool, WK, params, seed=43)
+        a = init_population(antigen, PoolAffinities(pool, WK), params, seed=42)
+        b = init_population(antigen, PoolAffinities(pool, WK), params, seed=43)
         assert a.member_ids != b.member_ids
 
     def test_shortfall_clamps_and_warns(self, caplog):
         pool = _small_pool(30)
         antigen = UserProfile(999, {1: 4})
         with caplog.at_level(logging.WARNING, logger="immunorec.immune_network"):
-            state = init_population(antigen, pool, WK, ImmuneParams(population_size=100), seed=1)
+            state = init_population(
+                antigen, PoolAffinities(pool, WK), ImmuneParams(population_size=100), seed=1
+            )
         assert len(state.members) == 30
-        assert state.pool_remaining == []
+        assert len(state.pool_remaining) == 0
         assert any("shortfall" in record.message for record in caplog.records)
 
     def test_antigen_excluded_even_if_pooled(self):
         pool = _small_pool(25)
         antigen = pool.users[7]
-        state = init_population(antigen, pool, WK, ImmuneParams(population_size=100), seed=3)
+        state = init_population(
+            antigen, PoolAffinities(pool, WK), ImmuneParams(population_size=100), seed=3
+        )
         assert 7 not in state.member_ids
-        assert 7 not in state.pool_remaining
+        assert 7 not in _remaining_ids(state)
         assert len(state.members) == 24
 
     def test_empty_pool_raises(self):
         pool = Dataset.from_profiles([UserProfile(7, {1: 3})])
         antigen = pool.users[7]
         with pytest.raises(EmptyPoolError):
-            init_population(antigen, pool, WK, ImmuneParams(), seed=0)
+            init_population(antigen, PoolAffinities(pool, WK), ImmuneParams(), seed=0)
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["no-user", "antigen-only"])
+    def test_empty_precomputed_pool_raises(self, pooled):
+        antigen = UserProfile(7, {1: 3})
+        pool = PoolAffinities.precomputed(Dataset.from_profiles([antigen][:pooled]), WK)
+        with pytest.raises(EmptyPoolError):
+            init_population(antigen, pool, ImmuneParams(), seed=0)
 
     def test_partition_of_candidates(self):
         pool = _small_pool(50)
         antigen = UserProfile(999, {1: 4})
-        state = init_population(antigen, pool, WK, ImmuneParams(population_size=15), seed=9)
+        state = init_population(
+            antigen, PoolAffinities(pool, WK), ImmuneParams(population_size=15), seed=9
+        )
         members = set(state.member_ids)
-        remaining = set(state.pool_remaining)
+        remaining = _remaining_ids(state)
         assert members.isdisjoint(remaining)
         assert members | remaining == set(pool.user_ids)
 
@@ -211,7 +234,9 @@ class TestPruneAndReplace:
     def test_stable_when_none_below(self):
         pool = _small_pool(30)
         antigen = UserProfile(999, {1: 4, 5: 2})
-        state = init_population(antigen, pool, WK, ImmuneParams(population_size=10), seed=2)
+        state = init_population(
+            antigen, PoolAffinities(pool, WK), ImmuneParams(population_size=10), seed=2
+        )
         before = list(state.member_ids)
         rng = np.random.default_rng(0)
         prune_and_replace(state, ImmuneParams(), rng)
@@ -224,14 +249,14 @@ class TestPruneAndReplace:
         pool = _small_pool(30)
         antigen = UserProfile(999, {1: 4, 5: 2})
         params = ImmuneParams(population_size=10)
-        state = init_population(antigen, pool, WK, params, seed=2)
+        state = init_population(antigen, PoolAffinities(pool, WK), params, seed=2)
         victim = state.member_ids[3]
         state.concentrations[3] = 0.01
         rng = np.random.default_rng(0)
         prune_and_replace(state, params, rng)
         assert len(state.members) == 10
         assert victim not in state.member_ids
-        assert victim not in state.pool_remaining
+        assert victim not in _remaining_ids(state)
         assert state.concentrations[-1] == params.initial_concentration
         assert state.stable_count == 0
         assert state.matrix.shape == (10, 10)
@@ -241,8 +266,8 @@ class TestPruneAndReplace:
         pool = _small_pool(10)
         antigen = UserProfile(999, {1: 4, 5: 2})
         params = ImmuneParams(population_size=10)
-        state = init_population(antigen, pool, WK, params, seed=2)
-        assert state.pool_remaining == []
+        state = init_population(antigen, PoolAffinities(pool, WK), params, seed=2)
+        assert len(state.pool_remaining) == 0
         state.concentrations[0] = 0.0
         prune_and_replace(state, params, np.random.default_rng(0))
         assert len(state.members) == 9
@@ -252,7 +277,7 @@ class TestPruneAndReplace:
         pool = _small_pool(12)
         antigen = UserProfile(999, {1: 4, 5: 2})
         params = ImmuneParams(population_size=6)
-        state = init_population(antigen, pool, WK, params, seed=2)
+        state = init_population(antigen, PoolAffinities(pool, WK), params, seed=2)
         rng = np.random.default_rng(1)
         discarded = set()
         for _ in range(20):
@@ -263,10 +288,10 @@ class TestPruneAndReplace:
             assert discarded.isdisjoint(members)
             discarded |= before - members
             assert members.isdisjoint(discarded)
-            assert members.isdisjoint(state.pool_remaining)
-            assert members | discarded | set(state.pool_remaining) == set(pool.user_ids)
+            assert members.isdisjoint(_remaining_ids(state))
+            assert members | discarded | _remaining_ids(state) == set(pool.user_ids)
             _assert_matches_recompute(state, antigen, params)
-            if not state.members:
+            if len(state.members) == 0:
                 break
 
     def test_batch_admission_matches_recompute(self):
@@ -275,11 +300,11 @@ class TestPruneAndReplace:
         antigen = UserProfile(999, {m: (m % 6) + 1 for m in range(1, 13)})
         kt = AffinityMeasure(AffinityKind.KENDALLS_TAU)
         params = ImmuneParams(population_size=10, remap_negative=True)
-        state = init_population(antigen, pool, kt, params, seed=4)
+        state = init_population(antigen, PoolAffinities(pool, kt), params, seed=4)
         _assert_matches_recompute(state, antigen, params)
         assert len(set(state.antigen_affinities.tolist())) > 1
         rng = np.random.default_rng(2)
-        while state.pool_remaining:
+        while len(state.pool_remaining):
             state.concentrations[[0, 4, 7]] = 0.0
             prune_and_replace(state, params, rng)
             assert len(state.members) == 10
@@ -296,32 +321,35 @@ class TestPruneAndReplace:
         antigen = UserProfile(999, {m: (m % 6) + 1 for m in (*range(1, 13, 2), 50, 51)})
         measure = AffinityMeasure(kind, min_overlap=min_overlap)
         params = ImmuneParams(population_size=10, stability_window=50, remap_negative=remap)
-        state = init_population(antigen, pool, measure, params, seed=4)
+        # the same run on blocks computed per admission and on blocks
+        # indexed from the precomputed pool
+        histories = []
+        for source in (PoolAffinities(pool, measure), PoolAffinities.precomputed(pool, measure)):
+            state = init_population(antigen, source, params, seed=4)
 
-        def assert_rows():
-            # row 0 is the antigen's, row i + 1 belongs to members[i]
-            assert state.categories[0].tolist() == [
-                antigen.categories.get(int(m), 0) for m in pool.movie_array
-            ]
-            assert state.categories[1:].tolist() == [
-                [p.categories.get(int(m), 0) for m in pool.movie_array] for p in state.members
-            ]
+            def assert_rows():
+                assert state.antigen.tolist() == [
+                    [antigen.categories.get(int(m), 0) for m in pool.movie_array]
+                ]
+                assert state.member_ids == [p.user_id for p in _member_profiles(state)]
 
-        assert_rows()
-        _assert_matches_recompute(state, antigen, params)
-        assert len(set(state.antigen_affinities.tolist())) > 1
-        rng = np.random.default_rng(2)
-        prunes = 0
-        while state.pool_remaining:
-            concentration_step(state, params)
-            state.concentrations[[1, 5]] = 0.0
-            before = set(state.member_ids)
-            prune_and_replace(state, params, rng)
-            assert len(before - set(state.member_ids)) >= 2
-            prunes += 1
-            _assert_matches_recompute(state, antigen, params)
             assert_rows()
-        assert prunes >= 5
+            _assert_matches_recompute(state, antigen, params)
+            assert len(set(state.antigen_affinities.tolist())) > 1
+            history = [(state.member_ids, state.matrix.tolist())]
+            rng = np.random.default_rng(2)
+            while len(state.pool_remaining):
+                concentration_step(state, params)
+                state.concentrations[[1, 5]] = 0.0
+                before = set(state.member_ids)
+                prune_and_replace(state, params, rng)
+                assert len(before - set(state.member_ids)) >= 2
+                _assert_matches_recompute(state, antigen, params)
+                assert_rows()
+                history.append((state.member_ids, state.matrix.tolist()))
+            assert len(history) > 5
+            histories.append(history)
+        assert histories[0] == histories[1]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -356,7 +384,9 @@ class TestPruneAndReplace:
             population_size=population, prune_threshold=threshold, remap_negative=True
         )
         run_rng = np.random.default_rng(run_seed)
-        state = init_population(antigen, pool, AffinityMeasure(kind), params, run_rng)
+        state = init_population(
+            antigen, PoolAffinities(pool, AffinityMeasure(kind)), params, run_rng
+        )
         discarded: set[int] = set()
 
         def check_concentrations():
@@ -364,7 +394,7 @@ class TestPruneAndReplace:
             assert (state.concentrations >= 0).all()
 
         def check_partition():
-            members, remaining = set(state.member_ids), set(state.pool_remaining)
+            members, remaining = set(state.member_ids), _remaining_ids(state)
             assert len(members) == len(state.members)
             assert members.isdisjoint(remaining) and members.isdisjoint(discarded)
             assert remaining.isdisjoint(discarded)
@@ -380,7 +410,7 @@ class TestPruneAndReplace:
             discarded |= before - set(state.member_ids)
             check_concentrations()
             check_partition()
-            if not state.members:
+            if len(state.members) == 0:
                 break
 
 
@@ -389,7 +419,7 @@ class TestRunToConvergence:
         pool = _small_pool(30)
         antigen = UserProfile(999, {1: 4, 5: 2})
         params = ImmuneParams(population_size=10, prune_threshold=0.0, stability_window=10)
-        final = run_to_convergence(antigen, pool, WK, params, seed=5)
+        final = run_to_convergence(antigen, PoolAffinities(pool, WK), params, seed=5)
         assert final.converged
         assert final.iterations_used == 10
         assert len(final.members) == 10
@@ -398,7 +428,7 @@ class TestRunToConvergence:
         pool = _small_pool(30)
         antigen = UserProfile(999, {1: 4, 5: 2})
         params = ImmuneParams(population_size=10, max_iterations=0)
-        final = run_to_convergence(antigen, pool, WK, params, seed=5)
+        final = run_to_convergence(antigen, PoolAffinities(pool, WK), params, seed=5)
         assert not final.converged
         assert final.iterations_used == 0
         assert all(weight == 1.0 for _, weight in final.members)
@@ -406,22 +436,24 @@ class TestRunToConvergence:
     def test_bit_identical_reruns(self, standard_dataset):
         antigen = standard_dataset.users[3]
         params = ImmuneParams()
-        one = run_to_convergence(antigen, standard_dataset, WK, params, seed=11)
-        two = run_to_convergence(antigen, standard_dataset, WK, params, seed=11)
+        one = run_to_convergence(antigen, PoolAffinities(standard_dataset, WK), params, seed=11)
+        two = run_to_convergence(antigen, PoolAffinities(standard_dataset, WK), params, seed=11)
         assert [p.user_id for p, _ in one.members] == [p.user_id for p, _ in two.members]
         assert [w for _, w in one.members] == [w for _, w in two.members]
         assert (one.converged, one.iterations_used) == (two.converged, two.iterations_used)
 
     def test_weights_never_negative(self, standard_dataset):
         antigen = standard_dataset.users[3]
-        final = run_to_convergence(antigen, standard_dataset, WK, ImmuneParams(), seed=13)
+        pool = PoolAffinities(standard_dataset, WK)
+        final = run_to_convergence(antigen, pool, ImmuneParams(), seed=13)
         assert all(weight >= 0.0 for _, weight in final.members)
 
     def test_golden_membership_regression(self, standard_dataset):
         import hashlib
 
         antigen = standard_dataset.users[1]
-        final = run_to_convergence(antigen, standard_dataset, WK, ImmuneParams(), seed=42)
+        pool = PoolAffinities(standard_dataset, WK)
+        final = run_to_convergence(antigen, pool, ImmuneParams(), seed=42)
         ids = sorted(p.user_id for p, _ in final.members)
         digest = hashlib.sha256(",".join(map(str, ids)).encode()).hexdigest()
         assert final.converged
@@ -437,7 +469,7 @@ class TestRunToConvergence:
             [UserProfile(uid, {uid * 10 + 1: 3}) for uid in range(1, 6)]
         )
         params = ImmuneParams(population_size=5, max_iterations=40, stability_window=50)
-        final = run_to_convergence(antigen, pool, WK, params, seed=1)
+        final = run_to_convergence(antigen, PoolAffinities(pool, WK), params, seed=1)
         # after 29 steps 0.9^t < 0.05: everyone pruned, pool empty, population extinct
         assert len(final.members) == 0
         assert not final.converged
@@ -446,7 +478,7 @@ class TestRunToConvergence:
         kt = AffinityMeasure(AffinityKind.KENDALLS_TAU)
         antigen = standard_dataset.users[5]
         params = ImmuneParams(remap_negative=True, max_iterations=0)
-        state = init_population(antigen, standard_dataset, kt, params, seed=3)
+        state = init_population(antigen, PoolAffinities(standard_dataset, kt), params, seed=3)
         assert np.all(state.antigen_affinities >= 0.0)
         assert np.all(state.matrix >= 0.0)
         assert np.all(state.matrix <= 1.0)
