@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -241,11 +242,12 @@ def category_matrix(profiles: list[UserProfile], movies: np.ndarray) -> np.ndarr
     Ratings of movies outside ``movies`` are left out: they share nothing
     with any profile whose movies all lie in it.
     """
-    if not profiles:
-        return np.zeros((0, len(movies)), dtype=np.int8)
-    ids = np.concatenate([p.movie_array for p in profiles])
-    owner = np.repeat(np.arange(len(profiles)), [len(p) for p in profiles])
-    categories = np.concatenate([p.category_array for p in profiles])
+    counts = [len(p) for p in profiles]
+    ids = np.fromiter(chain.from_iterable(p.categories for p in profiles), np.int64, sum(counts))
+    categories = np.fromiter(
+        chain.from_iterable(p.categories.values() for p in profiles), np.int8, len(ids)
+    )
+    owner = np.repeat(np.arange(len(profiles)), counts)
     columns = np.searchsorted(movies, ids)
     known = np.append(movies, 0)[columns] == ids  # movie ids are positive
     matrix = np.zeros((len(profiles), len(movies)), dtype=np.int8)

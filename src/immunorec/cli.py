@@ -244,7 +244,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     output = Path(args.output)
     save_ratings(dataset, output)
     _config_sidecar(output, {"command": "gen", "config": asdict(config)})
-    print(f"wrote {len(dataset)} users, {len(dataset.movie_ids)} movies to {output}")
+    print(f"wrote {len(dataset)} users, {len(dataset.movie_array)} movies to {output}")
     return EXIT_OK
 
 

@@ -83,27 +83,35 @@ def load_ratings(path: str | Path, config: IngestConfig) -> tuple[Dataset, LoadR
     """
     path = Path(path)
     by_user: dict[int, dict[int, int]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            row = raw.rstrip("\r\n")
-            if not row:
-                continue
-            fields = row.split(",")
-            if len(fields) != 3:
-                raise ParseError(lineno, 1, f"expected 3 fields, got {len(fields)}")
-            try:
-                user_id, movie_id = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise ParseError(lineno, 1, f"non-integer id in {row!r}") from None
-            if user_id < 1 or movie_id < 1:
-                raise ParseError(lineno, 1, f"ids must be positive in {row!r}")
-            category = _parse_category(fields[2], config.format, lineno)
-            ratings = by_user.setdefault(user_id, {})
-            if movie_id in ratings:
-                raise ParseError(
-                    lineno, 2, f"duplicate rating for user {user_id}, movie {movie_id}"
-                )
-            ratings[movie_id] = category
+    # A byte that is not UTF-8 reads as a lone surrogate, which no field
+    # parses, so its row fails in order like any other malformed row.
+    try:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                row = raw.rstrip("\r\n")
+                if not row:
+                    continue
+                fields = row.split(",")
+                if len(fields) != 3:
+                    raise ParseError(lineno, 1, f"expected 3 fields, got {len(fields)}")
+                try:
+                    user_id, movie_id = int(fields[0]), int(fields[1])
+                except ValueError:
+                    raise ParseError(lineno, 1, f"non-integer id in {row!r}") from None
+                if user_id < 1 or movie_id < 1:
+                    raise ParseError(lineno, 1, f"ids must be positive in {row!r}")
+                category = _parse_category(fields[2], config.format, lineno)
+                ratings = by_user.setdefault(user_id, {})
+                if movie_id in ratings:
+                    raise ParseError(
+                        lineno, 2, f"duplicate rating for user {user_id}, movie {movie_id}"
+                    )
+                ratings[movie_id] = category
+    except ParseError:
+        for column, text in enumerate(row.split(","), start=1):
+            if bad := [ord(ch) - 0xDC00 for ch in text if "\udc80" <= ch <= "\udcff"]:
+                raise ParseError(lineno, column, f"byte 0x{bad[0]:02x} is not UTF-8") from None
+        raise
 
     profiles = []
     dropped = 0
@@ -122,7 +130,7 @@ def load_ratings(path: str | Path, config: IngestConfig) -> tuple[Dataset, LoadR
     report = LoadReport(
         users_kept=len(dataset.users),
         users_dropped=dropped,
-        movies=len(dataset.movie_ids),
+        movies=len(dataset.movie_array),
     )
     log.info("loaded %s: %s", path, report.to_json())
     return dataset, report

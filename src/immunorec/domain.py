@@ -8,8 +8,7 @@ of the downstream arithmetic ever compares inexact floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -80,23 +79,15 @@ class UserProfile:
     def __post_init__(self) -> None:
         if self.user_id < 1:
             raise ValueError(f"user_id must be positive, got {self.user_id}")
+        # a bool is an int to isinstance; True would pass as 1 (False fails the range)
         for movie_id, category in self.categories.items():
-            if not isinstance(movie_id, (int, np.integer)) or movie_id < 1:
+            if not isinstance(movie_id, (int, np.integer)) or movie_id is True or movie_id < 1:
                 raise ValueError(f"movie_id must be a positive integer, got {movie_id!r}")
-            if not isinstance(category, (int, np.integer)) or not 1 <= category <= NUM_CATEGORIES:
+            integer = isinstance(category, (int, np.integer)) and category is not True
+            if not integer or not 1 <= category <= NUM_CATEGORIES:
                 raise InvalidCategoryError(
                     f"user {self.user_id}, movie {movie_id}: category {category!r} outside 1..6"
                 )
-
-    @cached_property
-    def movie_array(self) -> np.ndarray:
-        """Rated movie ids, ascending (int64)."""
-        return np.array(sorted(self.categories), dtype=np.int64)
-
-    @cached_property
-    def category_array(self) -> np.ndarray:
-        """Category indices aligned with :attr:`movie_array` (int64)."""
-        return np.array([self.categories[m] for m in self.movie_array], dtype=np.int64)
 
     def rating(self, movie_id: int) -> float:
         """The 0-1 scale rating for ``movie_id`` (KeyError if unrated)."""
@@ -120,10 +111,9 @@ def common_categories(a: UserProfile, b: UserProfile) -> tuple[np.ndarray, np.nd
     The id vector is ascending, which fixes the pair-enumeration order used
     everywhere downstream.
     """
-    ids, idx_a, idx_b = np.intersect1d(
-        a.movie_array, b.movie_array, assume_unique=True, return_indices=True
-    )
-    return ids, a.category_array[idx_a], b.category_array[idx_b]
+    ids = sorted(a.categories.keys() & b.categories.keys())
+    columns = ids, [a.categories[m] for m in ids], [b.categories[m] for m in ids]
+    return tuple(np.array(column, dtype=np.int64) for column in columns)
 
 
 @dataclass(frozen=True)
@@ -131,7 +121,6 @@ class Dataset:
     """A collection of user profiles keyed by user id."""
 
     users: dict[int, UserProfile]
-    movie_ids: frozenset[int] = field(default_factory=frozenset)
 
     @classmethod
     def from_profiles(cls, profiles: Iterable[UserProfile]) -> "Dataset":
@@ -141,25 +130,24 @@ class Dataset:
         one); loading from disk raises instead, see ``datastore``.
         """
         users: dict[int, UserProfile] = {}
-        movies: set[int] = set()
         for profile in profiles:
             if profile.user_id in users:
                 raise ValueError(f"duplicate user_id {profile.user_id}")
             if not profile.categories:
                 raise ValueError(f"user {profile.user_id} has no ratings")
             users[profile.user_id] = profile
-            movies.update(profile.categories)
-        return cls(users, frozenset(movies))
+        return cls(users)
 
     @property
     def user_ids(self) -> list[int]:
         """All user ids, ascending."""
         return sorted(self.users)
 
-    @cached_property
+    @property
     def movie_array(self) -> np.ndarray:
-        """All rated movie ids, ascending (int64)."""
-        return np.array(sorted(self.movie_ids), dtype=np.int64)
+        """All rated movie ids, ascending (int64), derived from the profiles on each read."""
+        movies = set().union(*(p.categories for p in self.users.values()))
+        return np.array(sorted(movies), dtype=np.int64)
 
     def subset(self, user_ids: Iterable[int]) -> "Dataset":
         """A new dataset restricted to the given user ids."""

@@ -119,7 +119,7 @@ def select_trial_movies(profile: UserProfile, trials: int, seed: int) -> list[in
     measures evaluated under one master seed hide identical movies.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, profile.user_id]))
-    picked = rng.choice(profile.movie_array, size=trials, replace=False)
+    picked = rng.choice(sorted(profile.categories), size=trials, replace=False)
     return [int(m) for m in picked]
 
 

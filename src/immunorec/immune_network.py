@@ -18,8 +18,9 @@ iterations.
 
 Updates are simultaneous (all dx_i computed from the pre-step state) and all
 randomness flows through one seeded generator, so a run is a pure function
-of (antigen, pool, measure, params, seed), whether the pool's affinities are
-precomputed or computed block by block.
+of (antigen, pool, params, seed), because the pool carries the measure, and
+whether the pool's affinities are precomputed or computed block by block
+makes no difference.
 """
 
 from __future__ import annotations

@@ -382,7 +382,7 @@ def _seeded_ratings(seed: int, movies: range) -> dict[int, int]:
 
 def _kernel(measure, rows, cols):
     """category_affinity of the category rows of ``rows`` and ``cols`` on the movies of ``cols``."""
-    movies = np.unique(np.concatenate([p.movie_array for p in cols]))
+    movies = np.array(sorted(set().union(*(p.categories for p in cols))), dtype=np.int64)
     return category_affinity(measure, category_matrix(rows, movies), category_matrix(cols, movies))
 
 
@@ -469,6 +469,21 @@ class TestAffinityBlock:
         assert short.tolist() == [[v.insufficient_overlap for v in row] for row in want]
 
 
+@given(
+    pool=st.lists(_ratings(20, min_size=0), max_size=5),
+    movies=st.sets(st.integers(1, 25)),
+)
+def test_category_matrix_equals_cell_by_cell(pool, movies):
+    # profiles rate movies outside ``movies`` and ``movies`` holds some no
+    # profile rated; the profile list and ``movies`` may be empty
+    profiles = [UserProfile(uid, ratings) for uid, ratings in enumerate(pool, start=1)]
+    movies = np.array(sorted(movies), dtype=np.int64)
+    got = category_matrix(profiles, movies)
+    assert got.dtype == np.int8
+    assert got.shape == (len(profiles), len(movies))
+    assert got.tolist() == [[p.categories.get(int(m), 0) for m in movies] for p in profiles]
+
+
 class TestPoolAffinities:
     @given(
         pool=st.lists(_ratings(12, min_size=1), min_size=1, max_size=8),
@@ -525,6 +540,25 @@ class TestPoolAffinities:
             assert np.array_equal(numerators, numerators.T)
             assert np.array_equal(overlaps, overlaps.T)
             assert np.diagonal(overlaps).tolist() == [len(p) for p in standard_dataset]
+
+    @pytest.mark.parametrize("kind", list(AffinityKind))
+    def test_constructed_dataset_equals_from_profiles(self, kind):
+        # a Dataset built by its constructor derives its movies from the
+        # profiles just as one built by from_profiles does
+        profiles = [
+            UserProfile(1, {1: 3, 2: 5, 4: 1}),
+            UserProfile(2, {1: 4, 2: 6, 3: 2}),
+            UserProfile(3, {2: 1, 3: 2, 4: 6}),
+        ]
+        built = Dataset({p.user_id: p for p in profiles})
+        loaded = Dataset.from_profiles(profiles)
+        assert built.movie_array.tolist() == loaded.movie_array.tolist() == [1, 2, 3, 4]
+        measure = AffinityMeasure(kind)
+        everyone = np.arange(len(profiles))
+        got = PoolAffinities.precomputed(built, measure).block(everyone, everyone)
+        want = PoolAffinities.precomputed(loaded, measure).block(everyone, everyone)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        assert not got[1].any()
 
     @pytest.mark.parametrize("users", [0, 1])
     def test_tiny_pools(self, users):

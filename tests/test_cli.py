@@ -98,6 +98,24 @@ class TestIngestCheck:
         assert main(["ingest-check", str(bad), "--min-ratings", "1"]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, location",
+        [
+            (b"1,1,3\n1,2,\xe9\n", "line 2, column 3: byte 0xe9 is not UTF-8"),
+            (b"1,1,3\n1,\xe9,3\n", "line 2, column 2: byte 0xe9 is not UTF-8"),
+            (b"1,1,3\n\xff\xfe1,2,3\n", "line 2, column 1: byte 0xff is not UTF-8"),
+            # an earlier malformed row still comes first
+            (b"1,1,x\n1,2,\xe9\n", "line 1, column 3: category 'x'"),
+        ],
+    )
+    def test_non_utf8_byte_exits_two(self, tmp_path, capsys, content, location):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(content)
+        assert main(["ingest-check", str(bad), "--min-ratings", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert location in err
+
 
 class TestAffinity:
     def test_reference_pair_values(self, reference_file, capsys):

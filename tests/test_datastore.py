@@ -32,7 +32,7 @@ class TestLoadRatings:
         path = _write(tmp_path, "1,153,4\n1,253,4\n2,153,5\n")
         dataset, report = load_ratings(path, LOOSE)
         assert len(dataset) == 2
-        assert dataset.movie_ids == frozenset({153, 253})
+        assert dataset.movie_array.tolist() == [153, 253]
         assert report.users_kept == 2
         assert report.movies == 2
 

@@ -51,17 +51,24 @@ class TestUserProfile:
     def test_rejects_bad_category(self):
         with pytest.raises(InvalidCategoryError):
             UserProfile(1, {5: 9})
+        # rating_from_category rejects bools, so the profile does too
+        with pytest.raises(InvalidCategoryError):
+            UserProfile(1, {5: True})
 
     def test_rejects_nonpositive_ids(self):
         with pytest.raises(ValueError):
             UserProfile(0, {5: 3})
         with pytest.raises(ValueError):
             UserProfile(1, {0: 3})
+        with pytest.raises(ValueError):
+            UserProfile(1, {True: 3})
 
     def test_arrays_are_sorted_and_aligned(self):
         profile = UserProfile(1, {30: 2, 10: 6, 20: 4})
-        assert profile.movie_array.tolist() == [10, 20, 30]
-        assert profile.category_array.tolist() == [6, 4, 2]
+        ids, cats, _ = common_categories(profile, profile)
+        assert ids.tolist() == [10, 20, 30]
+        assert cats.tolist() == [6, 4, 2]
+        assert ids.dtype == cats.dtype == np.int64
 
     def test_without_movie(self):
         profile = UserProfile(1, {10: 3, 20: 5})
@@ -116,7 +123,7 @@ class TestDataset:
     def test_from_profiles(self):
         data = Dataset.from_profiles([UserProfile(1, {5: 3}), UserProfile(2, {6: 4})])
         assert data.user_ids == [1, 2]
-        assert data.movie_ids == frozenset({5, 6})
+        assert data.movie_array.tolist() == [5, 6]
 
     def test_duplicate_user_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
