@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import logging
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -52,12 +53,29 @@ class LoadReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
+#: The integer grammar of an id or category field: ASCII decimal digits,
+#: with a minus sign allowed so that a negative value reports its range.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+#: The only bytes a file may hold to take the columnar path.
+_COLUMNAR_BYTES = b"0123456789,\n"
+
+
+def _integer(text: str) -> int | None:
+    """``text`` as an int if it matches the integer grammar, else None."""
+    if _INTEGER.fullmatch(text) is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def _parse_category(text: str, fmt: FileFormat, line: int) -> int:
     if fmt is FileFormat.CATEGORY_CSV:
-        try:
-            category = int(text)
-        except ValueError:
-            raise ParseError(line, 3, f"category {text!r} is not an integer") from None
+        category = _integer(text)
+        if category is None:
+            raise ParseError(line, 3, f"category {text!r} is not an integer")
         if not 1 <= category <= 6:
             raise ParseError(line, 3, f"category {category} outside 1..6")
         return category
@@ -71,17 +89,43 @@ def _parse_category(text: str, fmt: FileFormat, line: int) -> int:
         raise ParseError(line, 3, f"rating {value!r} is not on the 6-point scale") from None
 
 
-def load_ratings(path: str | Path, config: IngestConfig) -> tuple[Dataset, LoadReport]:
-    """Read and validate a ratings file.
+def _parse_columns(path: Path) -> dict[int, dict[int, int]] | None:
+    """Each user's ratings from a clean ``category_csv`` file, parsed in bulk.
 
-    The first malformed row -- wrong field count, bad ids, off-scale rating,
-    or duplicate (user, movie) key -- raises :class:`ParseError` naming the
-    line and column.
-
-    Users with fewer than ``config.min_ratings_per_user`` ratings are dropped
-    and counted. Raises :class:`EmptyDatasetError` if no user survives.
+    Returns None, having raised nothing, unless the file holds only digits,
+    commas and LF, at least one digit, and rows of three integers below
+    2**31 with positive ids, categories in 1..6 and no duplicate key. The
+    line parser then reads the file and owns every error message.
     """
-    path = Path(path)
+    raw = path.read_bytes()
+    if raw.translate(None, _COLUMNAR_BYTES) or not raw.translate(None, b",\n"):
+        return None
+    del raw
+    try:
+        rows = np.loadtxt(path, delimiter=",", dtype=np.int32, ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    if rows.shape[1] != 3:
+        return None
+    users, movies, categories = rows.T
+    if users.min() < 1 or movies.min() < 1 or categories.min() < 1 or categories.max() > 6:
+        return None
+    if (np.diff(users) < 0).any():
+        order = np.argsort(users, kind="stable")
+        users, movies, categories = users[order], movies[order], categories[order]
+    starts = (np.flatnonzero(np.diff(users)) + 1).tolist()
+    by_user = {}
+    for lo, hi in zip([0, *starts], [*starts, len(users)]):
+        # each slice keeps file order, as the line parser's dicts do
+        ratings = dict(zip(movies[lo:hi].tolist(), categories[lo:hi].tolist()))
+        if len(ratings) < hi - lo:
+            return None
+        by_user[int(users[lo])] = ratings
+    return by_user
+
+
+def _parse_lines(path: Path, fmt: FileFormat) -> dict[int, dict[int, int]]:
+    """Each user's ratings, read one line at a time; raises on the first bad row."""
     by_user: dict[int, dict[int, int]] = {}
     # A byte that is not UTF-8 reads as a lone surrogate, which no field
     # parses, so its row fails in order like any other malformed row.
@@ -94,13 +138,15 @@ def load_ratings(path: str | Path, config: IngestConfig) -> tuple[Dataset, LoadR
                 fields = row.split(",")
                 if len(fields) != 3:
                     raise ParseError(lineno, 1, f"expected 3 fields, got {len(fields)}")
-                try:
-                    user_id, movie_id = int(fields[0]), int(fields[1])
-                except ValueError:
-                    raise ParseError(lineno, 1, f"non-integer id in {row!r}") from None
-                if user_id < 1 or movie_id < 1:
-                    raise ParseError(lineno, 1, f"ids must be positive in {row!r}")
-                category = _parse_category(fields[2], config.format, lineno)
+                ids = _integer(fields[0]), _integer(fields[1])
+                for column, value in enumerate(ids, start=1):
+                    if value is None:
+                        raise ParseError(lineno, column, f"non-integer id in {row!r}")
+                for column, value in enumerate(ids, start=1):
+                    if value < 1:
+                        raise ParseError(lineno, column, f"ids must be positive in {row!r}")
+                user_id, movie_id = ids
+                category = _parse_category(fields[2], fmt, lineno)
                 ratings = by_user.setdefault(user_id, {})
                 if movie_id in ratings:
                     raise ParseError(
@@ -112,6 +158,25 @@ def load_ratings(path: str | Path, config: IngestConfig) -> tuple[Dataset, LoadR
             if bad := [ord(ch) - 0xDC00 for ch in text if "\udc80" <= ch <= "\udcff"]:
                 raise ParseError(lineno, column, f"byte 0x{bad[0]:02x} is not UTF-8") from None
         raise
+    return by_user
+
+
+def load_ratings(path: str | Path, config: IngestConfig) -> tuple[Dataset, LoadReport]:
+    """Read and validate a ratings file.
+
+    The first malformed row -- wrong field count, bad ids, off-scale rating,
+    or duplicate (user, movie) key -- raises :class:`ParseError` naming the
+    line and column.
+
+    Users with fewer than ``config.min_ratings_per_user`` ratings are dropped
+    and counted. Raises :class:`EmptyDatasetError` if no user survives.
+    """
+    path = Path(path)
+    by_user = None
+    if config.format is FileFormat.CATEGORY_CSV:
+        by_user = _parse_columns(path)
+    if by_user is None:
+        by_user = _parse_lines(path, config.format)
 
     profiles = []
     dropped = 0

@@ -20,6 +20,9 @@ NUM_CATEGORIES = 6
 #: The six admissible rating values, index c-1 holds the value of category c.
 SCALE_POINTS = tuple((c - 1) / 5 for c in range(1, NUM_CATEGORIES + 1))
 
+#: The category indices as a set, to check a whole profile at once.
+_CATEGORIES = frozenset(range(1, NUM_CATEGORIES + 1))
+
 #: Tolerance when accepting a float as a scale point (covers decimal text input).
 SCALE_TOLERANCE = 1e-9
 
@@ -79,6 +82,15 @@ class UserProfile:
     def __post_init__(self) -> None:
         if self.user_id < 1:
             raise ValueError(f"user_id must be positive, got {self.user_id}")
+        ratings = self.categories
+        # the whole dict at once; the loop below runs only to name what failed
+        if (
+            set(map(type, ratings)) <= {int}
+            and set(map(type, ratings.values())) <= {int}
+            and min(ratings, default=1) >= 1
+            and set(ratings.values()) <= _CATEGORIES
+        ):
+            return
         # a bool is an int to isinstance; True would pass as 1 (False fails the range)
         for movie_id, category in self.categories.items():
             if not isinstance(movie_id, (int, np.integer)) or movie_id is True or movie_id < 1:

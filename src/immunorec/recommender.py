@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domain import UserProfile, mean_rating
+from .domain import SCALE_POINTS, UserProfile, mean_rating
 from .errors import EmptyPopulationError
 from .immune_network import FinalPopulation
 
@@ -60,18 +60,27 @@ def recommend_top_n(
 
     Candidates are the movies rated by at least one positive-weight member,
     so none falls back. Ordered by predicted value, ties broken by ascending
-    movie id.
+    movie id. One pass over the members accumulates every candidate's sums
+    with the float operations of :func:`predict_rating`, in member order, so
+    each value equals that function's bit for bit.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if not population.members:
         raise EmptyPopulationError("cannot recommend from an empty population")
 
-    candidates: set[int] = set()
+    rated = antigen.categories
+    sums: dict[int, list] = {}
     for profile, weight in population.members:
         if weight > 0:
-            candidates.update(profile.categories)
-    candidates -= set(antigen.categories)
-
-    predictions = [predict_rating(population, movie_id) for movie_id in candidates]
+            for movie_id, category in profile.categories.items():
+                if movie_id not in rated:
+                    entry = sums.setdefault(movie_id, [0.0, 0.0, 0])
+                    entry[0] += weight
+                    entry[1] += weight * SCALE_POINTS[category - 1]
+                    entry[2] += 1
+    predictions = [
+        Prediction(movie_id, weighted / weight_sum, support)
+        for movie_id, (weight_sum, weighted, support) in sums.items()
+    ]
     return tuple(sorted(predictions, key=lambda p: (-p.value, p.movie_id))[:count])

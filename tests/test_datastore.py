@@ -1,6 +1,11 @@
 import logging
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from immunorec import (
     Dataset,
@@ -14,6 +19,7 @@ from immunorec import (
     save_ratings,
     weighted_kappa,
 )
+from immunorec import datastore
 from immunorec.domain import common_categories
 from immunorec.errors import EmptyDatasetError, ParseError
 
@@ -54,13 +60,36 @@ class TestLoadRatings:
         assert excinfo.value.line == 2
         assert "duplicate" in excinfo.value.reason
 
-    @pytest.mark.parametrize("row", ["1,153", "a,153,4", "1,b,4", "0,153,4", "1,-5,4", "1,153,x"])
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "1,153", "a,153,4", "1,b,4", "0,153,4", "1,-5,4", "1,153,x",
+            # not plain decimal digits, though int() takes most of them
+            "1_0,153,4", " 7 ,153,4", "\u0661,153,4", "1,15 3,4", "1,153, 4", "1,153,+4",
+        ],
+    )
     def test_malformed_rows(self, tmp_path, row):
         path = _write(tmp_path, "1,152,4\n" + row + "\n2,153,5\n")
         with pytest.raises(ParseError) as excinfo:
             load_ratings(path, LOOSE)
-        column = 3 if row == "1,153,x" else 1
+        columns = {"1,b,4": 2, "1,-5,4": 2, "1,15 3,4": 2, "1,153,x": 3, "1,153, 4": 3, "1,153,+4": 3}
+        column = columns.get(row, 1)
         assert (excinfo.value.line, excinfo.value.column) == (2, column)
+
+    @pytest.mark.parametrize(
+        ("row", "reason"),
+        [
+            ("1,-5,4", "ids must be positive in '1,-5,4'"),
+            ("1_0,153,4", "non-integer id in '1_0,153,4'"),
+            ("1,153,0", "category 0 outside 1..6"),
+            ("1,153,\u0664", "category '\u0664' is not an integer"),
+        ],
+    )
+    def test_malformed_row_reasons(self, tmp_path, row, reason):
+        path = _write(tmp_path, "1,152,4\n" + row + "\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_ratings(path, LOOSE)
+        assert excinfo.value.reason == reason
 
     def test_scaled_format(self, tmp_path):
         path = _write(tmp_path, "1,153,0.6\n1,253,1.0\n1,296,0\n")
@@ -92,6 +121,84 @@ class TestLoadRatings:
         path = _write(tmp_path, "1,153,4\n\n2,153,5\n\n")
         dataset, _ = load_ratings(path, LOOSE)
         assert len(dataset) == 2
+
+
+def _load_outcome(path, config):
+    """What a load yields, in a form two loads can be compared by."""
+    try:
+        dataset, report = load_ratings(path, config)
+    except ParseError as exc:
+        return "ParseError", exc.line, exc.column, exc.reason
+    except EmptyDatasetError as exc:
+        return "EmptyDatasetError", str(exc)
+    users = [(uid, list(profile.categories.items())) for uid, profile in dataset.users.items()]
+    return users, report
+
+
+def _id_field(top):
+    """A valid decimal id: 1..top or the largest int32, sometimes zero-padded."""
+    values = st.sampled_from([*range(1, top + 1), 2**31 - 1])
+    return st.builds(lambda zeros, value: "0" * zeros + str(value), st.integers(0, 2), values)
+
+
+def _replace_field(fields, index, text):
+    fields = list(fields)
+    fields[index] = text
+    return fields
+
+
+def _file_text(rows, faults, end, final_newline):
+    lines = [",".join(fields) for fields in rows]
+    for position, line in faults:
+        lines.insert(position % (len(lines) + 1), line)
+    text = end.join(lines)
+    return text + end if lines and final_newline else text
+
+
+_FIELDS = st.tuples(_id_field(6), _id_field(40), st.integers(1, 6).map(str))
+_ODD_FIELD = st.sampled_from(
+    ["", "0", "00", "-3", "+2", " 4", "4 ", "1_0", "\u0661", "x", str(2**31), str(2**40)]
+)
+_FAULTY_LINE = st.one_of(
+    st.just(""),
+    st.builds(_replace_field, _FIELDS, st.integers(0, 2), _ODD_FIELD).map(",".join),
+    st.builds(_replace_field, _FIELDS, st.just(2), st.sampled_from(["0", "7"])).map(",".join),
+    _FIELDS.map(lambda fields: ",".join(fields[:2])),
+    st.builds(lambda fields, extra: ",".join((*fields, extra)), _FIELDS, st.sampled_from(["", "5"])),
+)
+# interleaved users, duplicate keys by chance, and at most two faulty lines,
+# so that about a quarter of the files take the columnar path
+_RATINGS_TEXT = st.builds(
+    _file_text,
+    st.lists(_FIELDS, max_size=30),
+    st.lists(st.tuples(st.integers(0, 30), _FAULTY_LINE), max_size=2),
+    st.sampled_from(["\n", "\n", "\r\n"]),
+    st.booleans(),
+)
+
+
+class TestColumnarIngest:
+    @settings(max_examples=200, deadline=None)
+    @given(text=_RATINGS_TEXT, min_ratings=st.integers(1, 3))
+    def test_matches_line_parser(self, text, min_ratings):
+        config = IngestConfig(min_ratings_per_user=min_ratings)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "ratings.csv"
+            path.write_bytes(text.encode("utf-8"))
+            either = _load_outcome(path, config)
+            with mock.patch.object(datastore, "_parse_columns", return_value=None):
+                lines_only = _load_outcome(path, config)
+        assert either == lines_only
+
+    def test_standard_file_takes_columnar_path(self, tmp_path, standard_dataset):
+        path = tmp_path / "standard.csv"
+        save_ratings(standard_dataset, path)
+        with mock.patch.object(datastore, "_parse_lines", side_effect=AssertionError):
+            dataset, report = load_ratings(path, LOOSE)
+        assert dataset.user_ids == standard_dataset.user_ids
+        for uid in dataset.user_ids:
+            assert dataset.users[uid].categories == standard_dataset.users[uid].categories
+        assert report.users_kept == len(standard_dataset)
 
 
 class TestSaveRatings:

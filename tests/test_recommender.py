@@ -1,13 +1,20 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from immunorec import (
+    AffinityKind,
+    AffinityMeasure,
     FinalPopulation,
+    ImmuneParams,
+    PoolAffinities,
     UserProfile,
     predict_rating,
     recommend_top_n,
+    run_to_convergence,
 )
 from immunorec.errors import EmptyPopulationError
 from immunorec.domain import mean_rating
@@ -198,6 +205,44 @@ class TestRecommendTopN:
     def test_empty_population_raises(self):
         with pytest.raises(EmptyPopulationError):
             recommend_top_n(_population(), UserProfile(9, {1: 3}), 3)
+
+    @pytest.mark.parametrize(
+        ("kind", "remap"),
+        [
+            (AffinityKind.WEIGHTED_KAPPA, False),
+            (AffinityKind.KENDALLS_TAU, True),
+            (AffinityKind.PEARSON, True),
+        ],
+    )
+    def test_equals_predict_rating_bit_for_bit(self, standard_dataset, kind, remap):
+        pool = PoolAffinities(standard_dataset, AffinityMeasure(kind))
+        for i in range(3):
+            antigen = standard_dataset.users[standard_dataset.user_ids[7 * i]]
+            final = run_to_convergence(
+                antigen, pool, ImmuneParams(remap_negative=remap), seed=500 + i
+            )
+            # a zero-weight member that alone rates an unseen movie adds no candidate
+            silent = UserProfile(10**6, {**final.members[0][0].categories, 10**6: 6})
+            population = FinalPopulation(
+                members=final.members + ((silent, 0.0),),
+                converged=final.converged,
+                iterations_used=final.iterations_used,
+            )
+
+            result = recommend_top_n(population, antigen, 10**6)
+
+            ids = [entry.movie_id for entry in result]
+            assert ids and 10**6 not in ids
+            assert set(ids).isdisjoint(antigen.categories)
+            expected = set().union(*(p.categories for p, w in final.members if w > 0))
+            assert set(ids) == expected - set(antigen.categories)
+            assert [(-e.value, e.movie_id) for e in result] == sorted(
+                (-e.value, e.movie_id) for e in result
+            )
+            for entry in result:
+                oracle = predict_rating(population, entry.movie_id)
+                assert entry == oracle
+                assert struct.pack("<d", entry.value) == struct.pack("<d", oracle.value)
 
 
 def test_population_mean_counts_each_rating_once():
