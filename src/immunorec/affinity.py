@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain
 
@@ -272,7 +273,8 @@ def _exact_dtype(kind: AffinityKind, movies: int) -> type[np.floating]:
 def _onehot(block: np.ndarray, dtype: type[np.floating]) -> np.ndarray:
     """(6 rows) x movies indicators: row ``6 i + c - 1`` marks ``block[i] == c``."""
     categories = np.arange(1, NUM_CATEGORIES + 1, dtype=block.dtype)[None, :, None]
-    return (block[:, None, :] == categories).astype(dtype).reshape(-1, block.shape[1])
+    rows, movies = block.shape
+    return (block[:, None, :] == categories).astype(dtype).reshape(NUM_CATEGORIES * rows, movies)
 
 
 def category_affinity(
@@ -291,8 +293,10 @@ def _affinity_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every pair's (numerator, overlap) for :func:`_affinity_values`.
 
-    Weighted Kappa's numerator is the credit ``sum_c onehot_c(a) @ (sum_d
-    credit[c, d] onehot_d(b))^T``, the overlap ``(a > 0) @ (b > 0)^T``.
+    Weighted Kappa's numerator is the credit ``sum_d credit[d, a] @
+    onehot_d(b)^T`` (the credits are symmetric), which gathers credits over
+    ``a`` only: every caller passes the smaller block first. The overlap is
+    ``(a > 0) @ (b > 0)^T``.
     Kendall's Tau takes every pair's 6x6 table f from one one-hot product
     and counts ``2(C - D) = f^T S f + f^T f - n`` with ``S`` =
     ``_TAU_FORM``. Pearson takes the moments n, sum a, sum b, sum ab, sum a^2
@@ -310,7 +314,7 @@ def _affinity_terms(
     if kind is AffinityKind.WEIGHTED_KAPPA:
         lookup = _CREDIT_LOOKUP.astype(exact)
         credit = sum(
-            (a == c).astype(exact) @ lookup[c][b].T for c in range(1, NUM_CATEGORIES + 1)
+            lookup[d][a] @ (b == d).astype(exact).T for d in range(1, NUM_CATEGORIES + 1)
         )
         return credit, (a > 0).astype(exact) @ (b > 0).astype(exact).T
     if kind is AffinityKind.KENDALLS_TAU:
@@ -431,6 +435,22 @@ class PoolAffinities:
         if self.categories is not None:
             return self.categories[idx]
         return category_matrix([self.profiles[i] for i in idx], self.movies)
+
+    def antigen_affinity(
+        self, antigen: UserProfile
+    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """A function from pool rows to the one-row (values, short flags) of ``antigen`` with them.
+
+        The values are those of :func:`category_affinity` on the antigen's
+        category row and those rows, bit for bit. A precomputed pool runs the
+        kernel once, against every pool row, and the function indexes the
+        result; a plain one runs the kernel on each call.
+        """
+        antigen_row = category_matrix([antigen], self.movies)
+        if self.categories is None:
+            return lambda rows: category_affinity(self.measure, antigen_row, self.rows(rows))
+        values, short = category_affinity(self.measure, antigen_row, self.categories)
+        return lambda rows: (values[:, rows], short[:, rows])
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(values, short flags) of every pool row ``rows`` with every pool row ``cols``."""

@@ -14,6 +14,7 @@ configuration; exit codes are 0 success, 1 usage/config error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -421,7 +422,9 @@ def cmd_eval_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The process's parser, built on first use so that importing stays cheap."""
     parser = _Parser(prog="immunorec", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
@@ -523,8 +526,7 @@ def main(argv: list[str] | None = None) -> int:
         level=_LOG_LEVELS.get(level_name, logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

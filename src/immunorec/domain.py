@@ -9,6 +9,7 @@ of the downstream arithmetic ever compares inexact floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -155,11 +156,13 @@ class Dataset:
         """All user ids, ascending."""
         return sorted(self.users)
 
-    @property
+    @cached_property
     def movie_array(self) -> np.ndarray:
-        """All rated movie ids, ascending (int64), derived from the profiles on each read."""
+        """All rated movie ids, ascending (int64), derived from the profiles on first read."""
         movies = set().union(*(p.categories for p in self.users.values()))
-        return np.array(sorted(movies), dtype=np.int64)
+        array = np.array(sorted(movies), dtype=np.int64)
+        array.flags.writeable = False  # one array serves every reader
+        return array
 
     def subset(self, user_ids: Iterable[int]) -> "Dataset":
         """A new dataset restricted to the given user ids."""

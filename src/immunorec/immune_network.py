@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import PoolAffinities, category_affinity, category_matrix
+from .affinity import PoolAffinities
 from .domain import UserProfile
 from .errors import EmptyPoolError, ImmunorecError
 
@@ -94,12 +95,13 @@ class AisState:
     antigen-affinity vector and the rows/columns of the pairwise matrix.
     ``pool_remaining`` holds the rows not drawn yet, ascending; a drawn row
     leaves it for good, so members and ``pool_remaining`` stay disjoint and
-    pruned rows are never redrawn. ``antigen`` is the antigen's int8 category
-    row over the pool's movies.
+    pruned rows are never redrawn. ``antigen`` maps pool rows to the
+    antigen's (values, short flags) with them, from
+    :meth:`~immunorec.affinity.PoolAffinities.antigen_affinity`.
     """
 
     pool: PoolAffinities
-    antigen: np.ndarray
+    antigen: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     members: np.ndarray
     concentrations: np.ndarray
     antigen_affinities: np.ndarray
@@ -135,12 +137,11 @@ def _draw_and_admit(
     """Move ``count`` uniform draws from ``pool_remaining`` into the population.
 
     Newcomers join in ascending row (so user id) order at
-    ``initial_concentration``. Their antigen affinities come from the block
-    kernel over the antigen's and their category rows, their member block
-    from the pool; the vectors and the affinity matrix grow once for the
+    ``initial_concentration``. Their antigen affinities and their member
+    block both come from the pool, without a kernel call when the pool is
+    precomputed; the vectors and the affinity matrix grow once for the
     whole batch.
     """
-    pool = state.pool
     drawn = np.zeros(len(state.pool_remaining), dtype=bool)
     drawn[rng.choice(len(drawn), size=count, replace=False)] = True
     newcomers = state.pool_remaining[drawn]
@@ -148,9 +149,9 @@ def _draw_and_admit(
 
     k = len(state.members)
     state.members = np.append(state.members, newcomers)
-    stimulation = category_affinity(pool.measure, state.antigen, pool.rows(newcomers))
-    block = _usable(*pool.block(newcomers, state.members), params)
-    state.antigen_affinities = np.append(state.antigen_affinities, _usable(*stimulation, params)[0])
+    block = _usable(*state.pool.block(newcomers, state.members), params)
+    stimulation = _usable(*state.antigen(newcomers), params)[0]
+    state.antigen_affinities = np.append(state.antigen_affinities, stimulation)
     state.concentrations = np.append(
         state.concentrations, np.full(count, params.initial_concentration)
     )
@@ -189,7 +190,7 @@ def init_population(
         )
     state = AisState(
         pool=pool,
-        antigen=category_matrix([antigen], pool.movies),
+        antigen=pool.antigen_affinity(antigen),
         members=np.empty(0, dtype=eligible.dtype),
         concentrations=np.empty(0),
         antigen_affinities=np.empty(0),

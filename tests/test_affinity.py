@@ -422,6 +422,10 @@ class TestAffinityBlock:
             for a in rows
         ]
         assert got.tolist() == want
+        # the same pairs with the large block first: the kernel gathers
+        # Weighted Kappa credits over its first block, whichever is smaller
+        swapped = _usable(*_kernel(measure, profiles, rows), params)
+        assert swapped.tolist() == got.T.tolist()
         needed = max(min_overlap, 1 if kind is AffinityKind.WEIGHTED_KAPPA else 2)
         for i, a in enumerate(rows):
             for j, b in enumerate(profiles):
@@ -528,6 +532,48 @@ class TestPoolAffinities:
             assert values.dtype == np.float64
             assert _usable(values, short, params).tolist() == want.tolist()
             assert source.rows(rows).tolist() == fresh(rows).tolist()
+
+    @given(
+        pool=st.lists(_ratings(12, min_size=2), min_size=2, max_size=8),
+        rows=st.lists(st.integers(0, 7), max_size=8),
+        outsider=_ratings(16, min_size=0),
+        pooled=st.booleans(),
+        hidden=st.integers(0, 15),
+        kind=st.sampled_from(AffinityKind),
+        min_overlap=st.sampled_from([1, 2, 3]),
+    )
+    # an antigen that shares no movie with the pool: the kernel gets a block
+    # with no movie column
+    @example(
+        pool=[{1: 1, 2: 3}, {1: 2, 2: 1}], rows=[0, 1], outsider={13: 4}, pooled=False,
+        hidden=0, kind=AffinityKind.KENDALLS_TAU, min_overlap=1,
+    )
+    def test_antigen_affinity_equals_fresh_kernel(
+        self, pool, rows, outsider, pooled, hidden, kind, min_overlap
+    ):
+        # a leave-one-out antigen (a pool user minus one movie) or a user
+        # outside the pool, who may rate movies 13..16 that no pool user has
+        profiles = [UserProfile(uid, ratings) for uid, ratings in enumerate(pool, start=1)]
+        dataset = Dataset.from_profiles(profiles)
+        if pooled:
+            own = profiles[hidden % len(profiles)]
+            antigen = own.without_movie(sorted(own.categories)[hidden % len(own)])
+        else:
+            antigen = UserProfile(99, outsider)
+        rows = np.array(rows, dtype=np.int64) % len(profiles)
+        measure = AffinityMeasure(kind, min_overlap=min_overlap)
+        movies = dataset.movie_array
+        values, short = category_affinity(
+            measure,
+            category_matrix([antigen], movies),
+            category_matrix([profiles[i] for i in rows], movies),
+        )
+        stored = PoolAffinities.precomputed(dataset, measure)
+        for source in (stored, PoolAffinities(dataset, measure)):
+            got_values, got_short = source.antigen_affinity(antigen)(rows)
+            assert got_values.dtype == np.float64
+            assert got_values.tolist() == values.tolist()
+            assert got_short.tolist() == short.tolist()
 
     def test_integer_storage(self, standard_dataset):
         for kind in (AffinityKind.WEIGHTED_KAPPA, AffinityKind.KENDALLS_TAU):

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from immunorec.cli import _print_report, main
+from immunorec.cli import _print_report, build_parser, main
+from immunorec.domain import Dataset
 from immunorec.evaluation import AccuracyRow, ExperimentReport, TieRow
 from immunorec.immune_network import ImmuneParams
 
@@ -158,6 +159,22 @@ class TestRecommend:
         payload = json.loads(first_json.read_text())
         assert payload["converged"] is True
         assert len(payload["entries"]) == 5
+
+    def test_movies_derived_once_per_request(self, data_file, monkeypatch):
+        # the load report's movie count and the pool's movie columns read one
+        # sorted union of the profiles' movies
+        movie_array = Dataset.__dict__["movie_array"]
+        derive = movie_array.func
+        derived = []
+
+        def counted(dataset):
+            derived.append(dataset)
+            return derive(dataset)
+
+        monkeypatch.setattr(movie_array, "func", counted)
+        args = ["recommend", str(data_file), "--min-ratings", "1", "--user", "1", "--seed", "7"]
+        assert main(args) == 0
+        assert len(derived) == 1
 
     def test_count_zero_rejected(self, data_file):
         with pytest.raises(SystemExit) as excinfo:
@@ -317,6 +334,21 @@ class TestEval:
             "--pool-threshold", "10", "--seed", "5",
         ]) == 0
 
+    @pytest.mark.parametrize("measure", ["wk", "kt", "pearson"])
+    def test_split_test_user_sharing_no_movie_with_pool(self, tmp_path, capsys, measure):
+        # test users 1 and 2 rate movies 101..106, the pool users 10..12
+        # movies 1..6: every antigen affinity is short, every trial falls back
+        path = tmp_path / "disjoint.csv"
+        rows = [(u, m, m % 6 + 1) for u in (1, 2) for m in range(101, 107)]
+        rows += [(u, m, (u + m) % 6 + 1) for u in (10, 11, 12) for m in range(1, 7)]
+        path.write_text("".join(f"{u},{m},{c}\n" for u, m, c in rows), encoding="utf-8")
+        assert main([
+            "eval", "accuracy", str(path), "--min-ratings", "1", "--users", "2",
+            "--trials", "2", "--pool-threshold", "5", "--measure", measure,
+            "--remap-negative", "--seed", "1",
+        ]) == 0
+        assert "fallback trials 2" in capsys.readouterr().out
+
     @pytest.mark.parametrize("split", [["--pool-threshold", "100000"], []],
                              ids=["no-user", "antigen-only"])
     def test_accuracy_empty_pool_exits_three(self, tmp_path, capsys, split):
@@ -388,6 +420,21 @@ def test_unknown_command_exits_one():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 1
+
+
+def test_parser_built_once_per_process(data_file, capsys):
+    # later calls reuse the first call's parser, and what one call parsed
+    # does not reach the next
+    build_parser.cache_clear()
+    recommend = ["recommend", str(data_file), "--min-ratings", "1", "--user", "1", "--seed", "7"]
+    first = main(recommend), capsys.readouterr().out
+    assert main(["eval", "accuracy", str(data_file), "--min-ratings", "1", "--users", "2",
+                 "--trials", "3", "--pool-threshold", "10", "--seed", "1"]) == 0
+    capsys.readouterr()
+    second = main(recommend), capsys.readouterr().out
+    assert first == second
+    assert first[0] == 0 and first[1]
+    assert build_parser.cache_info().misses == 1
 
 
 def _run_cli_process(args: list[str], log: str):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import immunorec.affinity
+import immunorec.immune_network
 from immunorec import (
     AffinityKind,
     AffinityMeasure,
@@ -19,7 +21,7 @@ from immunorec import (
     prune_and_replace,
     run_to_convergence,
 )
-from immunorec.affinity import affinity
+from immunorec.affinity import affinity, category_affinity, category_matrix
 from immunorec.immune_network import AisState, _usable
 from immunorec.errors import EmptyPoolError
 
@@ -36,9 +38,10 @@ GOLDEN_FIRST_MEMBERS = [21, 29, 32, 36, 37, 40, 41, 49, 55, 63]
 def _bare_state(affinities, matrix, concentrations):
     """Hand-assembled state for arithmetic checks; profiles are placeholders."""
     members = [UserProfile(i + 1, {1: 3}) for i in range(len(affinities))]
+    pool = PoolAffinities(Dataset.from_profiles(members), WK)
     return AisState(
-        pool=PoolAffinities(Dataset.from_profiles(members), WK),
-        antigen=np.full((1, 1), 3, dtype=np.int8),
+        pool=pool,
+        antigen=pool.antigen_affinity(UserProfile(999, {1: 3})),
         members=np.arange(len(members)),
         concentrations=np.asarray(concentrations, dtype=np.float64),
         antigen_affinities=np.asarray(affinities, dtype=np.float64),
@@ -314,7 +317,7 @@ class TestPruneAndReplace:
     @pytest.mark.parametrize("remap", [False, True], ids=["raw", "remap"])
     @pytest.mark.parametrize("kind", list(AffinityKind), ids=["wk", "kt", "pearson"])
     def test_run_held_rows_match_recompute(self, kind, remap, min_overlap):
-        # the block kernel over the run-held category rows: real steps with
+        # antigen affinities and member blocks from the pool: real steps with
         # pruning on, several newcomers per prune, and an antigen rating
         # movies no pool user rated
         pool = _small_pool(40)
@@ -328,9 +331,14 @@ class TestPruneAndReplace:
             state = init_population(antigen, source, params, seed=4)
 
             def assert_rows():
-                assert state.antigen.tolist() == [
-                    [antigen.categories.get(int(m), 0) for m in pool.movie_array]
-                ]
+                movies = pool.movie_array
+                fresh = category_affinity(
+                    measure,
+                    category_matrix([antigen], movies),
+                    category_matrix(_member_profiles(state), movies),
+                )
+                want = _usable(*fresh, params)[0]
+                assert state.antigen_affinities.tolist() == want.tolist()
                 assert state.member_ids == [p.user_id for p in _member_profiles(state)]
 
             assert_rows()
@@ -350,6 +358,30 @@ class TestPruneAndReplace:
             assert len(history) > 5
             histories.append(history)
         assert histories[0] == histories[1]
+
+    def test_precomputed_run_makes_one_kernel_call(self, monkeypatch):
+        # the antigen's affinities with every pool row, once per run; every
+        # admission after that only indexes them
+        kt = AffinityMeasure(AffinityKind.KENDALLS_TAU)
+        pool = PoolAffinities.precomputed(_small_pool(40), kt)
+        antigen = UserProfile(999, {m: (m % 6) + 1 for m in range(1, 13)})
+        params = ImmuneParams(
+            population_size=10, prune_threshold=0.5, stability_window=50, remap_negative=True
+        )
+        kernel_calls, admissions = [], []
+        terms = immunorec.affinity._affinity_terms
+        admit = immunorec.immune_network._draw_and_admit
+        monkeypatch.setattr(
+            immunorec.affinity, "_affinity_terms",
+            lambda *args: kernel_calls.append(1) or terms(*args),
+        )
+        monkeypatch.setattr(
+            immunorec.immune_network, "_draw_and_admit",
+            lambda *args: admissions.append(1) or admit(*args),
+        )
+        run_to_convergence(antigen, pool, params, seed=4)
+        assert len(admissions) > 1
+        assert len(kernel_calls) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(
