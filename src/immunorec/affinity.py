@@ -30,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .domain import NUM_CATEGORIES, Dataset, UserProfile, common_categories
-from .errors import InsufficientOverlapError
+from .errors import ConfigError, InsufficientOverlapError
 
 #: Integer agreement credit per cell: 5 down to 0 as categories drift apart.
 #: The linear weight w_ij = CREDITS[i-1, j-1] / 5.
@@ -64,7 +64,7 @@ class AffinityMeasure:
 
     def __post_init__(self) -> None:
         if self.min_overlap < 1:
-            raise ValueError(f"min_overlap must be >= 1, got {self.min_overlap}")
+            raise ConfigError(f"min_overlap must be >= 1, got {self.min_overlap}")
 
 
 @dataclass(eq=False, frozen=True)
@@ -234,7 +234,7 @@ _CREDIT_LOOKUP = np.pad(_CREDITS, ((1, 0), (1, 0)))
 _SIGNS = np.sign(np.arange(NUM_CATEGORIES)[:, None] - np.arange(NUM_CATEGORIES)[None, :])
 _TAU_FORM = (_SIGNS[:, None, :, None] * _SIGNS[None, :, None, :]).reshape(
     NUM_CATEGORIES**2, NUM_CATEGORIES**2
-).astype(np.float64)
+)
 
 
 def category_matrix(profiles: list[UserProfile], movies: np.ndarray) -> np.ndarray:
@@ -270,11 +270,46 @@ def _exact_dtype(kind: AffinityKind, movies: int) -> type[np.floating]:
     return np.float32 if _PER_MOVIE[kind] * movies < 2**24 else np.float64
 
 
+def _tau_form_dtype(longest: int) -> type[np.floating]:
+    """float32 while the tau form's integers stay below 2**24, else float64.
+
+    For pairs that share at most ``longest`` movies every partial sum of
+    ``f^T S f + f^T f`` lies within ``longest**2`` of 0, and ``2 longest**2``
+    bounds it with room to spare.
+    """
+    return np.float32 if 2 * longest**2 < 2**24 else np.float64
+
+
 def _onehot(block: np.ndarray, dtype: type[np.floating]) -> np.ndarray:
-    """(6 rows) x movies indicators: row ``6 i + c - 1`` marks ``block[i] == c``."""
-    categories = np.arange(1, NUM_CATEGORIES + 1, dtype=block.dtype)[None, :, None]
+    """(6 rows) x movies indicators: row ``6 i + c - 1`` marks ``block[i] == c``.
+
+    Filled one category at a time, so no (6 rows) x movies bool temporary is
+    made.
+    """
     rows, movies = block.shape
-    return (block[:, None, :] == categories).astype(dtype).reshape(NUM_CATEGORIES * rows, movies)
+    onehot = np.empty((NUM_CATEGORIES * rows, movies), dtype)
+    for c in range(NUM_CATEGORIES):
+        onehot[c::NUM_CATEGORIES] = block == c + 1
+    return onehot
+
+
+def _tau_terms(
+    onehot_a: np.ndarray, onehot_b: np.ndarray, longest: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kendall's Tau (``2(C - D)``, overlap) of every pair of two :func:`_onehot` blocks.
+
+    One product gives every pair's 6x6 table f, and ``2(C - D) = f^T S f +
+    f^T f - n`` with ``S`` = ``_TAU_FORM``. The form runs in
+    :func:`_tau_form_dtype` of ``longest``, the most movies any pair shares,
+    so every count is exact.
+    """
+    g = NUM_CATEGORIES
+    rows_a, rows_b = len(onehot_a) // g, len(onehot_b) // g
+    form = _tau_form_dtype(longest)
+    products = (onehot_a @ onehot_b.T).reshape(rows_a, g, rows_b, g)
+    tables = products.swapaxes(1, 2).reshape(rows_a, rows_b, g * g).astype(form, copy=False)
+    overlap = tables.sum(axis=2)
+    return ((tables @ _TAU_FORM.astype(form) + tables) * tables).sum(axis=2) - overlap, overlap
 
 
 def category_affinity(
@@ -297,16 +332,15 @@ def _affinity_terms(
     onehot_d(b)^T`` (the credits are symmetric), which gathers credits over
     ``a`` only: every caller passes the smaller block first. The overlap is
     ``(a > 0) @ (b > 0)^T``.
-    Kendall's Tau takes every pair's 6x6 table f from one one-hot product
-    and counts ``2(C - D) = f^T S f + f^T f - n`` with ``S`` =
-    ``_TAU_FORM``. Pearson takes the moments n, sum a, sum b, sum ab, sum a^2
-    and sum b^2 of the raw categories from products of ``a > 0``, ``a`` and
-    ``a * a`` with the same for ``b``, and its numerator is r itself. The
-    products run in float32 while their integers stay below 2**24 (float64
-    from there), the quadratic form in float64 (exact while n**2 < 2**53),
-    so every count is exact whatever the BLAS order or thread count. Pearson
-    then rounds where :func:`pearson_baseline` does: the variance product,
-    the square root and the division, so r is its value bit for bit.
+    Kendall's Tau comes from :func:`_tau_terms`; no pair shares more movies
+    than the rows of ``a`` rated between them. Pearson takes the moments n,
+    sum a, sum b, sum ab, sum a^2 and sum b^2 of the raw categories from
+    products of ``a > 0``, ``a`` and ``a * a`` with the same for ``b``, and
+    its numerator is r itself. The products run in float32 while their
+    integers stay below 2**24 (float64 from there), so every count is exact
+    whatever the BLAS order or thread count. Pearson then rounds where
+    :func:`pearson_baseline` does: the variance product, the square root and
+    the division, so r is its value bit for bit.
     """
     rated = (a > 0).any(axis=0)  # movies no row of ``a`` rated count for no pair
     a, b = a[:, rated], b[:, rated]
@@ -318,11 +352,7 @@ def _affinity_terms(
         )
         return credit, (a > 0).astype(exact) @ (b > 0).astype(exact).T
     if kind is AffinityKind.KENDALLS_TAU:
-        g = NUM_CATEGORIES
-        products = (_onehot(a, exact) @ _onehot(b, exact).T).reshape(len(a), g, len(b), g)
-        tables = products.swapaxes(1, 2).reshape(len(a), len(b), g * g).astype(np.float64)
-        overlap = tables.sum(axis=2)
-        return ((tables @ _TAU_FORM + tables) * tables).sum(axis=2) - overlap, overlap
+        return _tau_terms(_onehot(a, exact), _onehot(b, exact), a.shape[1])
     # Pearson, on raw categories: the (c - 1)/5 rescaling leaves r unchanged
     ones_a, ones_b = (a > 0).astype(exact), (b > 0).astype(exact)
     a, b = a.astype(exact), b.astype(exact)
@@ -382,6 +412,9 @@ def _terms_dtypes(kind: AffinityKind, longest: int) -> tuple[type, type]:
     return numerator, _count_dtype(longest)
 
 
+#: Pool rows -> one antigen's one-row (values, short flags) with them.
+AntigenAffinity = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
 #: Rows per kernel call while a pool's terms are built. Larger chunks run
 #: faster but raise the peak memory of the kernel's temporaries.
 _POOL_CHUNK = 5
@@ -414,16 +447,25 @@ class PoolAffinities:
 
         The kernel runs on ``_POOL_CHUNK`` rows at a time against the rows
         from there on, and each chunk is mirrored, since every term is
-        symmetric. Integer terms take the narrowest type their bounds allow.
+        symmetric. Kendall's Tau one-hot encodes the pool once and slices
+        each chunk from it. Integer terms take the narrowest type their
+        bounds allow.
         """
         pool = cls(dataset, measure)
         categories = pool.categories = category_matrix(pool.profiles, pool.movies)
-        n = len(categories)
+        n, movies = categories.shape
         longest = int((categories > 0).sum(axis=1).max(initial=0))
         terms = tuple(np.empty((n, n), dtype) for dtype in _terms_dtypes(measure.kind, longest))
+        tau = measure.kind is AffinityKind.KENDALLS_TAU
+        if tau:
+            g = NUM_CATEGORIES
+            onehot = _onehot(categories, _exact_dtype(measure.kind, movies))
         for start in range(0, n, _POOL_CHUNK):
             stop = start + _POOL_CHUNK
-            chunk = _affinity_terms(measure.kind, categories[start:stop], categories[start:])
+            if tau:
+                chunk = _tau_terms(onehot[g * start : g * stop], onehot[g * start :], longest)
+            else:
+                chunk = _affinity_terms(measure.kind, categories[start:stop], categories[start:])
             for store, values in zip(terms, chunk):
                 store[start:stop, start:] = values
                 store[start:, start:stop] = values.T
@@ -436,26 +478,36 @@ class PoolAffinities:
             return self.categories[idx]
         return category_matrix([self.profiles[i] for i in idx], self.movies)
 
-    def antigen_affinity(
-        self, antigen: UserProfile
-    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """A function from pool rows to the one-row (values, short flags) of ``antigen`` with them.
+    def antigen_affinities(self, antigens: list[UserProfile]) -> list[AntigenAffinity]:
+        """Per antigen, a function from pool rows to its one-row (values, short flags) with them.
 
         The values are those of :func:`category_affinity` on the antigen's
         category row and those rows, bit for bit. A precomputed pool runs the
-        kernel once, against every pool row, and the function indexes the
-        result; a plain one runs the kernel on each call.
+        kernel once, for every antigen against every pool row, and each
+        function indexes the result; each pair is computed on its own, so a
+        batch gives what one antigen at a time would. A plain pool runs the
+        kernel on each call.
         """
-        antigen_row = category_matrix([antigen], self.movies)
+        antigen_rows = category_matrix(antigens, self.movies)
         if self.categories is None:
-            return lambda rows: category_affinity(self.measure, antigen_row, self.rows(rows))
-        values, short = category_affinity(self.measure, antigen_row, self.categories)
-        return lambda rows: (values[:, rows], short[:, rows])
+
+            def lookup(i: int) -> AntigenAffinity:
+                row = antigen_rows[i : i + 1]
+                return lambda rows: category_affinity(self.measure, row, self.rows(rows))
+
+        else:
+            values, short = category_affinity(self.measure, antigen_rows, self.categories)
+
+            def lookup(i: int) -> AntigenAffinity:
+                return lambda rows: (values[i : i + 1, rows], short[i : i + 1, rows])
+
+        return [lookup(i) for i in range(len(antigens))]
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(values, short flags) of every pool row ``rows`` with every pool row ``cols``."""
         if self.terms is None:
             categories = self.rows(np.concatenate([rows, cols]))
             return category_affinity(self.measure, categories[: len(rows)], categories[len(rows) :])
-        index = np.ix_(rows, cols)
-        return _affinity_values(self.measure, *(store[index] for store in self.terms))
+        return _affinity_values(
+            self.measure, *(store.take(rows, 0).take(cols, 1) for store in self.terms)
+        )

@@ -43,6 +43,7 @@ from .datastore import (
 )
 from .domain import Dataset, common_categories
 from .errors import (
+    ConfigError,
     EmptyDatasetError,
     ImmunorecError,
     InsufficientAntigensError,
@@ -384,9 +385,13 @@ def cmd_eval_ties(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_compare(args: argparse.Namespace) -> int:
-    kinds = [AffinityKind(token) for token in args.measures.split(",")]
+    try:
+        kinds = [AffinityKind(token) for token in args.measures.split(",")]
+    except ValueError:
+        choices = ", ".join(kind.value for kind in AffinityKind)
+        raise ConfigError(f"--measures takes {choices}, got {args.measures!r}") from None
     if len(kinds) != 2:
-        raise ValueError("--measures needs exactly two comma-separated measures")
+        raise ConfigError("--measures needs exactly two comma-separated measures")
     dataset = _load(args)
     pool, antigens = _split_for_eval(dataset, args)
     params = _params_from(args)
@@ -529,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except ConfigError as exc:
         print(f"immunorec: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _DATA_ERRORS as exc:
@@ -537,6 +542,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except ImmunorecError as exc:
         print(f"immunorec: runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except ValueError as exc:
+        # raised by no configuration check, so a fault in the program, not in its use
+        print(f"immunorec: runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import Dataset, UserProfile, category_from_rating
-from .errors import EmptyDatasetError, ParseError
+from .errors import ConfigError, EmptyDatasetError, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -38,7 +38,7 @@ class IngestConfig:
 
     def __post_init__(self) -> None:
         if self.min_ratings_per_user < 1:
-            raise ValueError("min_ratings_per_user must be >= 1")
+            raise ConfigError("min_ratings_per_user must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -233,9 +233,9 @@ def partition(
         antigen_ids = [int(u) for u in ids if u <= pool_id_threshold]
     else:
         if not 0.0 < split_fraction < 1.0:
-            raise ValueError("split_fraction must lie strictly between 0 and 1")
+            raise ConfigError("split_fraction must lie strictly between 0 and 1")
         if split_seed is None:
-            raise ValueError("split_seed is required when pool_id_threshold is unset")
+            raise ConfigError("split_seed is required when pool_id_threshold is unset")
         rng = np.random.default_rng(split_seed)
         shuffled = rng.permutation(ids)
         k = int(round(split_fraction * len(ids)))
@@ -265,15 +265,15 @@ class SyntheticConfig:
     def __post_init__(self) -> None:
         low, high = self.ratings_per_user
         if self.num_users < 1 or self.num_movies < 1:
-            raise ValueError("num_users and num_movies must be >= 1")
+            raise ConfigError("num_users and num_movies must be >= 1")
         if self.num_clusters < 1:
-            raise ValueError("num_clusters must be >= 1")
+            raise ConfigError("num_clusters must be >= 1")
         if not 0.0 <= self.noise <= 1.0:
-            raise ValueError("noise must lie in [0, 1]")
+            raise ConfigError("noise must lie in [0, 1]")
         if not 1 <= low <= high <= self.num_movies:
-            raise ValueError("ratings_per_user range must satisfy 1 <= low <= high <= num_movies")
+            raise ConfigError("ratings_per_user range must satisfy 1 <= low <= high <= num_movies")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ConfigError("seed must be non-negative")
 
 
 def generate_synthetic(config: SyntheticConfig) -> Dataset:

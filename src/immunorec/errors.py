@@ -11,6 +11,10 @@ class ImmunorecError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(ImmunorecError, ValueError):
+    """A configuration value (a parameter, an option, a split) is out of range."""
+
+
 class InvalidRatingError(ImmunorecError, ValueError):
     """A rating is not one of the six scale points 0, 0.2, 0.4, 0.6, 0.8, 1."""
 

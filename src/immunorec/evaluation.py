@@ -150,16 +150,22 @@ def user_accuracy(
             f"user {antigen.user_id} rated {len(antigen)} movies, need more than {trials}"
         )
     hidden_movies = select_trial_movies(antigen, trials, seed)
+    variants = [antigen.without_movie(movie_id) for movie_id in hidden_movies]
+    # one kernel call for every trial's antigen when the pool is precomputed
+    affinities = pool.antigen_affinities(variants)
 
     total_error = 0.0
     fallbacks = 0
-    for trial_index, movie_id in enumerate(hidden_movies):
+    for trial_index, (movie_id, variant, affinity) in enumerate(
+        zip(hidden_movies, variants, affinities)
+    ):
         actual = antigen.rating(movie_id)
         final = run_to_convergence(
-            antigen.without_movie(movie_id),
+            variant,
             pool,
             params,
             _trial_seed(seed, antigen.user_id, trial_index),
+            antigen_affinity=affinity,
         )
         if final.members:
             prediction = predict_rating(final, movie_id)

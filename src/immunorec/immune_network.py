@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import PoolAffinities
+from .affinity import AntigenAffinity, PoolAffinities
 from .domain import UserProfile
-from .errors import EmptyPoolError, ImmunorecError
+from .errors import ConfigError, EmptyPoolError, ImmunorecError
 
 log = logging.getLogger(__name__)
 
@@ -67,23 +66,23 @@ class ImmuneParams:
             "dt", "prune_threshold", "initial_concentration",
         ):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if min(self.stimulation_rate, self.suppression_rate, self.death_rate) < 0:
-            raise ValueError("rates k1, k2, k3 must be non-negative")
+            raise ConfigError("rates k1, k2, k3 must be non-negative")
         if self.antigen_concentration <= 0:
-            raise ValueError("antigen_concentration must be positive")
+            raise ConfigError("antigen_concentration must be positive")
         if self.population_size < 1:
-            raise ValueError("population_size must be >= 1")
+            raise ConfigError("population_size must be >= 1")
         if self.dt <= 0:
-            raise ValueError("dt must be positive")
+            raise ConfigError("dt must be positive")
         if self.prune_threshold < 0:
-            raise ValueError("prune_threshold must be >= 0")
+            raise ConfigError("prune_threshold must be >= 0")
         if self.initial_concentration <= 0:
-            raise ValueError("initial_concentration must be positive")
+            raise ConfigError("initial_concentration must be positive")
         if self.stability_window < 1:
-            raise ValueError("stability_window must be >= 1")
+            raise ConfigError("stability_window must be >= 1")
         if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
+            raise ConfigError("max_iterations must be >= 0")
 
 
 @dataclass
@@ -97,11 +96,11 @@ class AisState:
     leaves it for good, so members and ``pool_remaining`` stay disjoint and
     pruned rows are never redrawn. ``antigen`` maps pool rows to the
     antigen's (values, short flags) with them, from
-    :meth:`~immunorec.affinity.PoolAffinities.antigen_affinity`.
+    :meth:`~immunorec.affinity.PoolAffinities.antigen_affinities`.
     """
 
     pool: PoolAffinities
-    antigen: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    antigen: AntigenAffinity
     members: np.ndarray
     concentrations: np.ndarray
     antigen_affinities: np.ndarray
@@ -167,12 +166,17 @@ def init_population(
     pool: PoolAffinities,
     params: ImmuneParams,
     seed: int | np.random.Generator,
+    *,
+    antigen_affinity: AntigenAffinity | None = None,
 ) -> AisState:
     """Draw the initial antibody sample and compute all affinities.
 
     Samples ``min(population_size, eligible pool)`` users uniformly without
     replacement with a seeded generator; the antigen's own user id is never
     eligible. Every antibody starts at ``initial_concentration``.
+    ``antigen_affinity`` is the antigen's function from
+    :meth:`~immunorec.affinity.PoolAffinities.antigen_affinities`, made here
+    when not given.
 
     Raises :class:`EmptyPoolError` when no candidate exists.
     """
@@ -190,7 +194,9 @@ def init_population(
         )
     state = AisState(
         pool=pool,
-        antigen=pool.antigen_affinity(antigen),
+        antigen=(
+            pool.antigen_affinities([antigen])[0] if antigen_affinity is None else antigen_affinity
+        ),
         members=np.empty(0, dtype=eligible.dtype),
         concentrations=np.empty(0),
         antigen_affinities=np.empty(0),
@@ -241,11 +247,11 @@ def prune_and_replace(
     """
     below = state.concentrations < params.prune_threshold
     if below.any():
-        keep = ~below
+        keep = np.flatnonzero(~below)
         state.members = state.members[keep]
         state.concentrations = state.concentrations[keep]
         state.antigen_affinities = state.antigen_affinities[keep]
-        state.matrix = state.matrix[np.ix_(keep, keep)]
+        state.matrix = state.matrix.take(keep, 0).take(keep, 1)
 
         want = int(below.sum())
         draw = min(want, len(state.pool_remaining))
@@ -269,6 +275,8 @@ def run_to_convergence(
     pool: PoolAffinities,
     params: ImmuneParams,
     seed: int,
+    *,
+    antigen_affinity: AntigenAffinity | None = None,
 ) -> FinalPopulation:
     """Full selection loop: init, then step+prune until membership settles.
 
@@ -276,10 +284,11 @@ def run_to_convergence(
     consecutive iterations; hitting ``max_iterations`` first returns the
     current population with ``converged=False`` and a warning. A step that
     leaves any concentration NaN or infinite raises :class:`ImmunorecError`
-    naming the antigen user and the iteration.
+    naming the antigen user and the iteration. ``antigen_affinity`` goes to
+    :func:`init_population`.
     """
     rng = np.random.default_rng(seed)
-    state = init_population(antigen, pool, params, rng)
+    state = init_population(antigen, pool, params, rng, antigen_affinity=antigen_affinity)
 
     converged = False
     iterations = 0

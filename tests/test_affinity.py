@@ -21,14 +21,17 @@ from immunorec import (
     weighted_kappa,
 )
 from immunorec.affinity import (
+    _POOL_CHUNK,
     PearsonResult,
+    _affinity_terms,
     _exact_dtype,
+    _tau_form_dtype,
     _terms_dtypes,
     affinity,
     category_affinity,
     category_matrix,
 )
-from immunorec.errors import InsufficientOverlapError
+from immunorec.errors import ConfigError, InsufficientOverlapError
 from immunorec.immune_network import ImmuneParams, _usable
 
 overlapping_profiles = st.integers(min_value=0, max_value=2**32 - 1).map(
@@ -356,7 +359,7 @@ class TestAffinityDispatch:
         assert affinity(measure, a, b).insufficient_overlap
 
     def test_min_overlap_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             AffinityMeasure(AffinityKind.WEIGHTED_KAPPA, min_overlap=0)
 
 
@@ -465,6 +468,7 @@ class TestAffinityBlock:
     @pytest.mark.parametrize("kind", list(AffinityKind))
     def test_float64_branch_equals_per_pair(self, kind, monkeypatch):
         monkeypatch.setattr("immunorec.affinity._exact_dtype", lambda kind, movies: np.float64)
+        monkeypatch.setattr("immunorec.affinity._tau_form_dtype", lambda longest: np.float64)
         profiles = [_random_pair(seed, min_common=2)[i] for seed in range(8) for i in (0, 1)]
         measure = AffinityMeasure(kind)
         values, short = _kernel(measure, profiles, profiles)
@@ -536,44 +540,46 @@ class TestPoolAffinities:
     @given(
         pool=st.lists(_ratings(12, min_size=2), min_size=2, max_size=8),
         rows=st.lists(st.integers(0, 7), max_size=8),
-        outsider=_ratings(16, min_size=0),
-        pooled=st.booleans(),
-        hidden=st.integers(0, 15),
+        hidden=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 15)), max_size=4),
+        outsiders=st.lists(_ratings(16, min_size=0), max_size=3),
         kind=st.sampled_from(AffinityKind),
         min_overlap=st.sampled_from([1, 2, 3]),
     )
     # an antigen that shares no movie with the pool: the kernel gets a block
     # with no movie column
     @example(
-        pool=[{1: 1, 2: 3}, {1: 2, 2: 1}], rows=[0, 1], outsider={13: 4}, pooled=False,
-        hidden=0, kind=AffinityKind.KENDALLS_TAU, min_overlap=1,
+        pool=[{1: 1, 2: 3}, {1: 2, 2: 1}], rows=[0, 1], hidden=[], outsiders=[{13: 4}],
+        kind=AffinityKind.KENDALLS_TAU, min_overlap=1,
     )
     def test_antigen_affinity_equals_fresh_kernel(
-        self, pool, rows, outsider, pooled, hidden, kind, min_overlap
+        self, pool, rows, hidden, outsiders, kind, min_overlap
     ):
-        # a leave-one-out antigen (a pool user minus one movie) or a user
-        # outside the pool, who may rate movies 13..16 that no pool user has
+        # one batch of leave-one-out antigens (pool users minus one movie,
+        # maybe the same user twice) and users outside the pool, who may rate
+        # movies 13..16 that no pool user has
         profiles = [UserProfile(uid, ratings) for uid, ratings in enumerate(pool, start=1)]
         dataset = Dataset.from_profiles(profiles)
-        if pooled:
-            own = profiles[hidden % len(profiles)]
-            antigen = own.without_movie(sorted(own.categories)[hidden % len(own)])
-        else:
-            antigen = UserProfile(99, outsider)
+        antigens = []
+        for user, movie in hidden:
+            own = profiles[user % len(profiles)]
+            antigens.append(own.without_movie(sorted(own.categories)[movie % len(own)]))
+        antigens += [UserProfile(99 + i, ratings) for i, ratings in enumerate(outsiders)]
         rows = np.array(rows, dtype=np.int64) % len(profiles)
         measure = AffinityMeasure(kind, min_overlap=min_overlap)
         movies = dataset.movie_array
-        values, short = category_affinity(
-            measure,
-            category_matrix([antigen], movies),
-            category_matrix([profiles[i] for i in rows], movies),
-        )
+        cols = category_matrix([profiles[i] for i in rows], movies)
         stored = PoolAffinities.precomputed(dataset, measure)
         for source in (stored, PoolAffinities(dataset, measure)):
-            got_values, got_short = source.antigen_affinity(antigen)(rows)
-            assert got_values.dtype == np.float64
-            assert got_values.tolist() == values.tolist()
-            assert got_short.tolist() == short.tolist()
+            batch = source.antigen_affinities(antigens)
+            assert len(batch) == len(antigens)
+            for antigen, lookup in zip(antigens, batch):
+                want = category_affinity(measure, category_matrix([antigen], movies), cols)
+                single = source.antigen_affinities([antigen])[0](rows)
+                got = lookup(rows)
+                assert got[0].dtype == np.float64
+                assert got[0].shape == (1, len(rows))
+                assert got[0].tobytes() == single[0].tobytes() == want[0].tobytes()
+                assert got[1].tolist() == single[1].tolist() == want[1].tolist()
 
     def test_integer_storage(self, standard_dataset):
         for kind in (AffinityKind.WEIGHTED_KAPPA, AffinityKind.KENDALLS_TAU):
@@ -606,6 +612,32 @@ class TestPoolAffinities:
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
         assert not got[1].any()
 
+    @pytest.mark.parametrize("users", [0, 1, 4, 5, 6, 11])
+    def test_tau_build_equals_kernel_and_per_pair(self, users):
+        # pools that end before, on and after a chunk boundary; profiles of
+        # 1 to 14 movies out of 16, so some pairs share fewer than two
+        assert _POOL_CHUNK == 5
+        rng = np.random.default_rng(users)
+        profiles = []
+        for uid in range(1, users + 1):
+            movies = rng.choice(16, size=rng.integers(1, 15), replace=False) + 1
+            profiles.append(UserProfile(uid, _seeded_ratings(uid, sorted(movies))))
+        dataset = Dataset.from_profiles(profiles)
+        pool = PoolAffinities.precomputed(dataset, AffinityMeasure(AffinityKind.KENDALLS_TAU))
+        numerators, overlaps = pool.terms
+        kernel = _affinity_terms(AffinityKind.KENDALLS_TAU, pool.categories, pool.categories)
+        assert numerators.tolist() == kernel[0].tolist()
+        assert overlaps.tolist() == kernel[1].tolist()
+        for i, a in enumerate(profiles):
+            for j, b in enumerate(profiles):
+                common = len(set(a.categories) & set(b.categories))
+                assert overlaps[i, j] == common
+                if common < 2:
+                    assert numerators[i, j] == 0
+                else:
+                    tau = kendalls_tau(a, b)
+                    assert numerators[i, j] == 2 * (tau.concordant - tau.discordant)
+
     @pytest.mark.parametrize("users", [0, 1])
     def test_tiny_pools(self, users):
         dataset = Dataset.from_profiles([UserProfile(7, {1: 3, 2: 5})][:users])
@@ -637,6 +669,13 @@ class TestPoolAffinities:
 )
 def test_numerator_dtype_boundaries(kind, longest, dtype):
     assert _terms_dtypes(kind, longest)[0] is dtype
+
+
+@pytest.mark.parametrize("longest, dtype", [(2896, np.float32), (2897, np.float64)])
+def test_tau_form_dtype_boundary(longest, dtype):
+    # the tau form's partial sums stay within longest**2 of 0; float32 holds
+    # every integer below 2**24, and 2 * 2896**2 < 2**24 <= 2 * 2897**2
+    assert _tau_form_dtype(longest) is dtype
 
 
 @pytest.mark.parametrize(

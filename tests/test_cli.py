@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from immunorec import cli
 from immunorec.cli import _print_report, build_parser, main
 from immunorec.domain import Dataset
 from immunorec.evaluation import AccuracyRow, ExperimentReport, TieRow
@@ -191,6 +192,20 @@ class TestRecommend:
         ]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_internal_value_error_exits_three(self, data_file, capsys, monkeypatch):
+        # a ValueError no configuration check raised is a fault of the
+        # program, not a usage mistake: exit 3, naming the exception type
+        def broken(*args, **kwargs):
+            raise ValueError("cannot reshape array of size 0 into shape (0)")
+
+        monkeypatch.setattr(cli, "run_to_convergence", broken)
+        assert main([
+            "recommend", str(data_file), "--min-ratings", "1", "--user", "1", "--seed", "7",
+        ]) == 3
+        assert capsys.readouterr().err == (
+            "immunorec: runtime error: ValueError: cannot reshape array of size 0 into shape (0)\n"
+        )
+
     def test_runaway_concentration_exits_three(self, data_file, capsys):
         assert main([
             "recommend", str(data_file), "--min-ratings", "1", "--user", "1",
@@ -325,6 +340,15 @@ class TestEval:
             "--measures", "wk", "--users", "2", "--trials", "2", "--seed", "5",
         ]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_compare_unknown_measure_exits_one(self, data_file, capsys):
+        assert main([
+            "eval", "compare", str(data_file), "--min-ratings", "1",
+            "--measures", "wk,zz", "--users", "2", "--trials", "2", "--seed", "5",
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "immunorec: config error: --measures takes wk, kt, pearson, got 'wk,zz'\n"
+        )
 
     def test_split_threshold(self, data_file, capsys):
         # ids 1..30; threshold 10 puts 20 users in the pool, 10 in the test side

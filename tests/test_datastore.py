@@ -21,7 +21,7 @@ from immunorec import (
 )
 from immunorec import datastore
 from immunorec.domain import common_categories
-from immunorec.errors import EmptyDatasetError, ParseError
+from immunorec.errors import ConfigError, EmptyDatasetError, ParseError
 
 
 def _write(tmp_path, text, name="ratings.csv"):
@@ -248,13 +248,13 @@ class TestPartition:
 
     def test_fraction_split_requires_seed(self):
         dataset = Dataset.from_profiles([UserProfile(1, {1: 3})])
-        with pytest.raises(ValueError, match="split_seed"):
+        with pytest.raises(ConfigError, match="split_seed"):
             partition(dataset)
 
     @pytest.mark.parametrize("fraction", [0, 1.5])
     def test_fraction_outside_unit_interval_rejected(self, fraction):
         dataset = Dataset.from_profiles([UserProfile(u, {1: 3}) for u in range(1, 11)])
-        with pytest.raises(ValueError, match="split_fraction must lie strictly between 0 and 1"):
+        with pytest.raises(ConfigError, match="split_fraction must lie strictly between 0 and 1"):
             partition(dataset, split_fraction=fraction, split_seed=7)
 
     def test_id_threshold_ignores_fraction(self):
@@ -337,12 +337,12 @@ class TestGenerateSynthetic:
         assert min(within) > max(cross)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SyntheticConfig(num_users=0, num_movies=5, num_clusters=1, noise=0.0,
                             ratings_per_user=(1, 2), seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SyntheticConfig(num_users=5, num_movies=5, num_clusters=1, noise=1.5,
                             ratings_per_user=(1, 2), seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SyntheticConfig(num_users=5, num_movies=5, num_clusters=1, noise=0.5,
                             ratings_per_user=(3, 9), seed=0)

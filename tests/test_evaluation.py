@@ -17,6 +17,7 @@ from immunorec import (
     ties_experiment,
     user_accuracy,
 )
+from immunorec import affinity as affinity_module
 from immunorec import evaluation
 from immunorec.domain import mean_rating
 from immunorec.evaluation import (
@@ -204,6 +205,21 @@ class TestAccuracyExperiment:
             user_accuracy(data.users[row.user_id], on_demand, CHURN_PARAMS, trials=3, seed=8)
             for row in report.rows
         )
+
+    @pytest.mark.parametrize("trials", [1, 5, 11])
+    def test_one_antigen_kernel_call_per_user(self, monkeypatch, trials):
+        # every trial's leave-one-out antigen against the precomputed pool in
+        # one kernel call, while the runs prune and admit
+        data = self._varied()
+        pool = PoolAffinities.precomputed(data, KT)
+        calls = []
+        kernel = affinity_module.category_affinity
+        monkeypatch.setattr(
+            affinity_module, "category_affinity",
+            lambda measure, a, b: calls.append(len(a)) or kernel(measure, a, b),
+        )
+        user_accuracy(data.users[3], pool, CHURN_PARAMS, trials=trials, seed=8)
+        assert calls == [trials]
 
     @pytest.mark.parametrize("cpus, users, workers", [(3, 4, 3), (8, 2, 2), (None, 4, None)])
     def test_jobs_bounded(self, monkeypatch, cpus, users, workers):

@@ -23,7 +23,7 @@ from immunorec import (
 )
 from immunorec.affinity import affinity, category_affinity, category_matrix
 from immunorec.immune_network import AisState, _usable
-from immunorec.errors import EmptyPoolError
+from immunorec.errors import ConfigError, EmptyPoolError
 
 from conftest import STANDARD_SYNTHETIC
 
@@ -41,7 +41,7 @@ def _bare_state(affinities, matrix, concentrations):
     pool = PoolAffinities(Dataset.from_profiles(members), WK)
     return AisState(
         pool=pool,
-        antigen=pool.antigen_affinity(UserProfile(999, {1: 3})),
+        antigen=pool.antigen_affinities([UserProfile(999, {1: 3})])[0],
         members=np.arange(len(members)),
         concentrations=np.asarray(concentrations, dtype=np.float64),
         antigen_affinities=np.asarray(affinities, dtype=np.float64),
@@ -110,7 +110,7 @@ class TestImmuneParams:
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ImmuneParams(**kwargs)
 
 
