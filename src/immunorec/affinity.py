@@ -412,102 +412,135 @@ def _terms_dtypes(kind: AffinityKind, longest: int) -> tuple[type, type]:
     return numerator, _count_dtype(longest)
 
 
-#: Pool rows -> one antigen's one-row (values, short flags) with them.
-AntigenAffinity = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+def _usable(values: np.ndarray, short: np.ndarray, remap_negative: bool) -> np.ndarray:
+    """The float64 numbers the immune network consumes: neutral 0 where the
+    overlap is short, and ``(a + 1) / 2`` elsewhere when ``remap_negative``."""
+    if remap_negative:
+        values = (values + 1.0) / 2.0
+    return np.where(short, 0.0, values)
 
-#: Rows per kernel call while a pool's terms are built. Larger chunks run
+
+#: Pool rows -> one antigen's usable affinities with them, one per row.
+AntigenAffinity = Callable[[np.ndarray], np.ndarray]
+
+#: Rows per kernel call while a pool's store is built. Larger chunks run
 #: faster but raise the peak memory of the kernel's temporaries.
 _POOL_CHUNK = 5
 
 
 class PoolAffinities:
-    """The affinities among one pool's users, addressed by pool row.
+    """The usable affinities among one pool's users, addressed by pool row.
 
     Row ``i`` is the ``i``-th user of ``dataset.user_ids``. :meth:`block`
-    gives, for any rows x cols, exactly the (values, short flags) of
-    :func:`category_affinity` on those users' category rows. A plain
-    instance runs the kernel on every call, over rows built for the call, so
-    it costs nothing up front; :meth:`precomputed` runs it once over every
-    pair of the pool and keeps its exact terms, so that a block is one index
-    and the final division.
+    gives, for any rows x cols, exactly the :func:`_usable` values of
+    :func:`category_affinity` on those users' category rows, remapped when
+    ``remap_negative`` is set. A plain instance runs the kernel on every
+    call and builds each user's category row when it is first needed, so it
+    costs nothing up front; :meth:`precomputed` runs the kernel once over
+    every pair of the pool and keeps the n x n float64 usable values, so
+    that a block is one ``take``.
     """
 
-    def __init__(self, dataset: Dataset, measure: AffinityMeasure) -> None:
+    def __init__(
+        self, dataset: Dataset, measure: AffinityMeasure, remap_negative: bool = False
+    ) -> None:
         self.measure = measure
+        self.remap_negative = remap_negative
         self.movies = dataset.movie_array
         ids = dataset.user_ids
         self.user_ids = np.array(ids, dtype=np.int64)
         self.profiles = [dataset.users[uid] for uid in ids]
-        self.categories: np.ndarray | None = None
-        self.terms: tuple[np.ndarray, np.ndarray] | None = None
+        # the category rows built so far, and each pool row's place among them
+        # (-1 until it is built)
+        self.categories = np.empty((0, len(self.movies)), dtype=np.int8)
+        self.slots = np.full(len(ids), -1)
+        self.usable: np.ndarray | None = None
 
     @classmethod
-    def precomputed(cls, dataset: Dataset, measure: AffinityMeasure) -> PoolAffinities:
-        """Category rows and exact terms of the whole pool, built once.
+    def precomputed(
+        cls, dataset: Dataset, measure: AffinityMeasure, remap_negative: bool = False
+    ) -> PoolAffinities:
+        """Category rows and usable affinities of the whole pool, built once.
 
         The kernel runs on ``_POOL_CHUNK`` rows at a time against the rows
-        from there on, and each chunk is mirrored, since every term is
-        symmetric. Kendall's Tau one-hot encodes the pool once and slices
-        each chunk from it. Integer terms take the narrowest type their
-        bounds allow.
+        from there on; each chunk's exact terms get the one float64 division
+        of :func:`_affinity_values` and then :func:`_usable`, and the chunk
+        is written and mirrored, since every value is symmetric. No integer
+        terms outlive their chunk. Kendall's Tau one-hot encodes the pool
+        once and slices each chunk from it.
         """
-        pool = cls(dataset, measure)
+        pool = cls(dataset, measure, remap_negative)
         categories = pool.categories = category_matrix(pool.profiles, pool.movies)
         n, movies = categories.shape
-        longest = int((categories > 0).sum(axis=1).max(initial=0))
-        terms = tuple(np.empty((n, n), dtype) for dtype in _terms_dtypes(measure.kind, longest))
+        pool.slots = np.arange(n)
+        usable = np.empty((n, n))
         tau = measure.kind is AffinityKind.KENDALLS_TAU
         if tau:
             g = NUM_CATEGORIES
+            longest = int((categories > 0).sum(axis=1).max(initial=0))
             onehot = _onehot(categories, _exact_dtype(measure.kind, movies))
         for start in range(0, n, _POOL_CHUNK):
             stop = start + _POOL_CHUNK
             if tau:
-                chunk = _tau_terms(onehot[g * start : g * stop], onehot[g * start :], longest)
+                terms = _tau_terms(onehot[g * start : g * stop], onehot[g * start :], longest)
             else:
-                chunk = _affinity_terms(measure.kind, categories[start:stop], categories[start:])
-            for store, values in zip(terms, chunk):
-                store[start:stop, start:] = values
-                store[start:, start:stop] = values.T
-        pool.terms = terms
+                terms = _affinity_terms(measure.kind, categories[start:stop], categories[start:])
+            chunk = _usable(*_affinity_values(measure, *terms), remap_negative)
+            usable[start:stop, start:] = chunk
+            usable[start:, start:stop] = chunk.T
+        pool.usable = usable
         return pool
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
-        """The int8 category rows of pool rows ``idx`` over the pool's movies."""
-        if self.categories is not None:
-            return self.categories[idx]
-        return category_matrix([self.profiles[i] for i in idx], self.movies)
+        """The int8 category rows of pool rows ``idx`` over the pool's movies.
+
+        Rows not built yet are built in one :func:`category_matrix` call and
+        kept, so a plain pool builds each user's row at most once.
+        """
+        slots = self.slots[idx]
+        new = slots < 0
+        if new.any():
+            wanted = np.zeros(len(self.slots), dtype=bool)
+            wanted[idx[new]] = True
+            missing = np.flatnonzero(wanted)
+            self.slots[missing] = len(self.categories) + np.arange(len(missing))
+            built = category_matrix([self.profiles[i] for i in missing], self.movies)
+            self.categories = np.concatenate([self.categories, built])
+            slots = self.slots[idx]
+        return self.categories[slots]
+
+    def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Usable affinities of every category row of ``a`` with every one of ``b``."""
+        return _usable(*category_affinity(self.measure, a, b), self.remap_negative)
 
     def antigen_affinities(self, antigens: list[UserProfile]) -> list[AntigenAffinity]:
-        """Per antigen, a function from pool rows to its one-row (values, short flags) with them.
+        """Per antigen, a function from pool rows to its usable affinities with them.
 
         The values are those of :func:`category_affinity` on the antigen's
-        category row and those rows, bit for bit. A precomputed pool runs the
-        kernel once, for every antigen against every pool row, and each
-        function indexes the result; each pair is computed on its own, so a
-        batch gives what one antigen at a time would. A plain pool runs the
-        kernel on each call.
+        category row and those rows, made usable, bit for bit. A precomputed
+        pool runs the kernel once, for every antigen against every pool row,
+        and each function is one ``take`` from the result; each pair is
+        computed on its own, so a batch gives what one antigen at a time
+        would. A plain pool runs the kernel on each call.
         """
         antigen_rows = category_matrix(antigens, self.movies)
-        if self.categories is None:
+        if self.usable is None:
 
             def lookup(i: int) -> AntigenAffinity:
                 row = antigen_rows[i : i + 1]
-                return lambda rows: category_affinity(self.measure, row, self.rows(rows))
+                return lambda rows: self._kernel(row, self.rows(rows))[0]
 
         else:
-            values, short = category_affinity(self.measure, antigen_rows, self.categories)
+            usable = self._kernel(antigen_rows, self.categories)
 
             def lookup(i: int) -> AntigenAffinity:
-                return lambda rows: (values[i : i + 1, rows], short[i : i + 1, rows])
+                return usable[i].take
 
         return [lookup(i) for i in range(len(antigens))]
 
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(values, short flags) of every pool row ``rows`` with every pool row ``cols``."""
-        if self.terms is None:
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Usable affinities of every pool row ``rows`` with every pool row ``cols``."""
+        if self.usable is None:
             categories = self.rows(np.concatenate([rows, cols]))
-            return category_affinity(self.measure, categories[: len(rows)], categories[len(rows) :])
-        return _affinity_values(
-            self.measure, *(store.take(rows, 0).take(cols, 1) for store in self.terms)
-        )
+            return self._kernel(categories[: len(rows)], categories[len(rows) :])
+        return self.usable.take(rows[:, None] * len(self.usable) + cols)

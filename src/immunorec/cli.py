@@ -54,7 +54,7 @@ from .errors import (
     UnknownUserError,
 )
 from .evaluation import accuracy_experiment, paired_comparison, ties_experiment
-from .immune_network import ImmuneParams, run_to_convergence
+from .immune_network import ImmuneParams, run_to_convergence, warn_shortfall
 from .recommender import recommend_top_n
 
 EXIT_OK = 0
@@ -210,13 +210,24 @@ def _split_for_eval(dataset: Dataset, args: argparse.Namespace) -> tuple[Dataset
 
     With --pool-threshold the id rule applies; with --split-fraction a seeded
     random split; by default the full dataset plays both roles (each run
-    excludes the target user itself).
+    excludes the target user itself). A split that leaves either side empty
+    raises :class:`ConfigError`.
     """
     if args.pool_threshold is not None:
-        return partition(dataset, pool_id_threshold=args.pool_threshold)
-    if args.split_fraction is not None:
-        return partition(dataset, split_fraction=args.split_fraction, split_seed=args.seed)
-    return dataset, dataset
+        option = f"--pool-threshold {args.pool_threshold}"
+        pool, antigens = partition(dataset, pool_id_threshold=args.pool_threshold)
+    elif args.split_fraction is not None:
+        option = f"--split-fraction {args.split_fraction}"
+        pool, antigens = partition(
+            dataset, split_fraction=args.split_fraction, split_seed=args.seed
+        )
+    else:
+        return dataset, dataset
+    if not len(pool) or not len(antigens):
+        raise ConfigError(
+            f"{option} leaves a side empty: {len(pool)} pool users, {len(antigens)} test users"
+        )
+    return pool, antigens
 
 
 def _write_text(path: str | Path, text: str) -> None:
@@ -297,7 +308,9 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     antigen = dataset.users[args.user]
     measure = _measure_from(args)
     params = _params_from(args)
-    final = run_to_convergence(antigen, PoolAffinities(dataset, measure), params, args.seed)
+    pool = PoolAffinities(dataset, measure, params.remap_negative)
+    warn_shortfall(pool, [antigen.user_id], params)
+    final = run_to_convergence(antigen, pool, params, args.seed)
     recommendations = recommend_top_n(final, antigen, args.count)
 
     status = "converged" if final.converged else "did not converge"

@@ -113,14 +113,18 @@ def _parse_columns(path: Path) -> dict[int, dict[int, int]] | None:
     if (np.diff(users) < 0).any():
         order = np.argsort(users, kind="stable")
         users, movies, categories = users[order], movies[order], categories[order]
-    starts = (np.flatnonzero(np.diff(users)) + 1).tolist()
+    starts = [0, *(np.flatnonzero(np.diff(users)) + 1).tolist()]
+    user_ids = users[starts].tolist()
+    # each column becomes one list, and the array goes before the dicts grow
+    movie_list, category_list = movies.tolist(), categories.tolist()
+    del rows, users, movies, categories
     by_user = {}
-    for lo, hi in zip([0, *starts], [*starts, len(users)]):
+    for user_id, lo, hi in zip(user_ids, starts, [*starts[1:], len(movie_list)]):
         # each slice keeps file order, as the line parser's dicts do
-        ratings = dict(zip(movies[lo:hi].tolist(), categories[lo:hi].tolist()))
+        ratings = dict(zip(movie_list[lo:hi], category_list[lo:hi]))
         if len(ratings) < hi - lo:
             return None
-        by_user[int(users[lo])] = ratings
+        by_user[user_id] = ratings
     return by_user
 
 

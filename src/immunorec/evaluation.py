@@ -38,7 +38,7 @@ from .errors import (
     InsufficientRatingsError,
     SampleMismatchError,
 )
-from .immune_network import ImmuneParams, run_to_convergence
+from .immune_network import ImmuneParams, run_to_convergence, warn_shortfall
 from .recommender import predict_rating
 
 log = logging.getLogger(__name__)
@@ -203,9 +203,10 @@ def accuracy_experiment(
     """Hidden-rating accuracy over a seeded sample of eligible test users.
 
     Eligible users rated more than ``trials`` movies. The pool's affinities
-    are precomputed once, before any trial, and every run indexes them. At
-    most ``jobs`` worker processes run, and never more than there are
-    sampled users or CPUs. Results are identical for any ``jobs`` value
+    are precomputed once, before any trial, remapped as ``params`` asks, and
+    every run indexes them; a pool too small for the population is reported
+    once, not once per run. At most ``jobs`` worker processes run, and never
+    more than there are sampled users or CPUs. Results are identical for any ``jobs`` value
     because every trial seeds itself from (seed, user id, trial index) alone.
 
     Raises :class:`InsufficientAntigensError` when the sample cannot be drawn.
@@ -220,10 +221,12 @@ def accuracy_experiment(
         int(u) for u in rng.choice(np.asarray(eligible, dtype=np.int64), size=users, replace=False)
     )
     profiles = [antigens.users[uid] for uid in sample]
+    affinities = PoolAffinities.precomputed(pool, measure, params.remap_negative)
+    warn_shortfall(affinities, sample, params)
 
     run = functools.partial(
         user_accuracy,
-        pool=PoolAffinities.precomputed(pool, measure),
+        pool=affinities,
         params=params,
         trials=trials,
         seed=seed,

@@ -95,7 +95,7 @@ class AisState:
     ``pool_remaining`` holds the rows not drawn yet, ascending; a drawn row
     leaves it for good, so members and ``pool_remaining`` stay disjoint and
     pruned rows are never redrawn. ``antigen`` maps pool rows to the
-    antigen's (values, short flags) with them, from
+    antigen's usable affinities with them, from
     :meth:`~immunorec.affinity.PoolAffinities.antigen_affinities`.
     """
 
@@ -122,14 +122,6 @@ class FinalPopulation:
     iterations_used: int
 
 
-def _usable(values: np.ndarray, short: np.ndarray, params: ImmuneParams) -> np.ndarray:
-    """The numbers the dynamics consume: neutral 0 where overlap is short,
-    optionally remapped to [0, 1] elsewhere."""
-    if params.remap_negative:
-        values = (values + 1.0) / 2.0
-    return np.where(short, 0.0, values)
-
-
 def _draw_and_admit(
     state: AisState, count: int, params: ImmuneParams, rng: np.random.Generator
 ) -> None:
@@ -137,9 +129,9 @@ def _draw_and_admit(
 
     Newcomers join in ascending row (so user id) order at
     ``initial_concentration``. Their antigen affinities and their member
-    block both come from the pool, without a kernel call when the pool is
-    precomputed; the vectors and the affinity matrix grow once for the
-    whole batch.
+    block both come from the pool as the usable numbers the dynamics read,
+    one ``take`` each when the pool is precomputed; the vectors and the
+    affinity matrix grow once for the whole batch.
     """
     drawn = np.zeros(len(state.pool_remaining), dtype=bool)
     drawn[rng.choice(len(drawn), size=count, replace=False)] = True
@@ -147,12 +139,13 @@ def _draw_and_admit(
     state.pool_remaining = state.pool_remaining[~drawn]
 
     k = len(state.members)
-    state.members = np.append(state.members, newcomers)
-    block = _usable(*state.pool.block(newcomers, state.members), params)
-    stimulation = _usable(*state.antigen(newcomers), params)[0]
-    state.antigen_affinities = np.append(state.antigen_affinities, stimulation)
-    state.concentrations = np.append(
-        state.concentrations, np.full(count, params.initial_concentration)
+    state.members = np.concatenate((state.members, newcomers))
+    block = state.pool.block(newcomers, state.members)
+    state.antigen_affinities = np.concatenate(
+        (state.antigen_affinities, state.antigen(newcomers))
+    )
+    state.concentrations = np.concatenate(
+        (state.concentrations, np.full(count, params.initial_concentration))
     )
     grown = np.empty((k + count, k + count), dtype=np.float64)
     grown[:k, :k] = state.matrix
@@ -173,25 +166,26 @@ def init_population(
 
     Samples ``min(population_size, eligible pool)`` users uniformly without
     replacement with a seeded generator; the antigen's own user id is never
-    eligible. Every antibody starts at ``initial_concentration``.
-    ``antigen_affinity`` is the antigen's function from
-    :meth:`~immunorec.affinity.PoolAffinities.antigen_affinities`, made here
-    when not given.
+    eligible, and a shortfall is clamped without a word (see
+    :func:`warn_shortfall`). Every antibody starts at
+    ``initial_concentration``. ``antigen_affinity`` is the antigen's function
+    from :meth:`~immunorec.affinity.PoolAffinities.antigen_affinities`, made
+    here when not given.
 
-    Raises :class:`EmptyPoolError` when no candidate exists.
+    Raises :class:`ConfigError` when the pool's ``remap_negative`` is not the
+    run's, and :class:`EmptyPoolError` when no candidate exists.
     """
+    if pool.remap_negative != params.remap_negative:
+        raise ConfigError(
+            f"the pool's affinities have remap_negative={pool.remap_negative}, "
+            f"the run's parameters remap_negative={params.remap_negative}"
+        )
     rng = np.random.default_rng(seed)
     eligible = np.flatnonzero(pool.user_ids != antigen.user_id)
     if len(eligible) == 0:
         raise EmptyPoolError("no eligible candidate antibodies in the pool")
 
     size = min(params.population_size, len(eligible))
-    if size < params.population_size:
-        log.warning(
-            "pool shortfall: wanted %d antibodies, only %d candidates",
-            params.population_size,
-            len(eligible),
-        )
     state = AisState(
         pool=pool,
         antigen=(
@@ -207,14 +201,30 @@ def init_population(
     return state
 
 
-# A runaway step overflows to inf or NaN: run_to_convergence checks the result
-# and names the run, so numpy's warnings would only be noise.
-@np.errstate(over="ignore", invalid="ignore")
+def warn_shortfall(pool: PoolAffinities, antigen_ids: list[int], params: ImmuneParams) -> None:
+    """One warning if the runs of ``antigen_ids`` cannot fill ``params.population_size``.
+
+    :func:`init_population` clamps each run's sample quietly, so that a
+    command or experiment can report a shortfall that all its runs share
+    once, by calling this before them. A pool with no candidate at all is
+    left to :class:`EmptyPoolError`.
+    """
+    fewest = len(pool.user_ids) - bool(np.isin(antigen_ids, pool.user_ids).any())
+    if 0 < fewest < params.population_size:
+        log.warning(
+            "pool shortfall: wanted %d antibodies, only %d candidates",
+            params.population_size,
+            fewest,
+        )
+
+
 def concentration_step(state: AisState, params: ImmuneParams) -> AisState:
     """One simultaneous Euler update of every concentration, clamped at 0.
 
     The suppression sum runs over the whole current population including
-    j = i unless ``params.include_self`` is off.
+    j = i unless ``params.include_self`` is off. A runaway step overflows to
+    inf or NaN; :func:`run_to_convergence` silences numpy's warnings for its
+    whole loop and names the run instead, while a direct caller sees them.
     """
     x = state.concentrations
     n = x.size
@@ -251,7 +261,7 @@ def prune_and_replace(
         state.members = state.members[keep]
         state.concentrations = state.concentrations[keep]
         state.antigen_affinities = state.antigen_affinities[keep]
-        state.matrix = state.matrix.take(keep, 0).take(keep, 1)
+        state.matrix = state.matrix.take(keep, 0)[:, keep]
 
         want = int(below.sum())
         draw = min(want, len(state.pool_remaining))
@@ -292,17 +302,23 @@ def run_to_convergence(
 
     converged = False
     iterations = 0
-    for iterations in range(1, params.max_iterations + 1):
-        concentration_step(state, params)
-        if not np.isfinite(state.concentrations).all():
-            raise ImmunorecError(
-                f"user {antigen.user_id}: concentrations stopped being finite "
-                f"at iteration {iterations}"
-            )
-        prune_and_replace(state, params, rng)
-        if state.stable_count >= params.stability_window:
-            converged = True
-            break
+    # a runaway step overflows to inf or NaN, which the check below reports
+    # with the run's name, so numpy's warnings would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, params.max_iterations + 1):
+            concentration_step(state, params)
+            # concentrations are NaN or in [0, inf], so the sum is finite
+            # unless one is not, or unless huge finite ones overflow it
+            x = state.concentrations
+            if not math.isfinite(x.sum()) and not np.isfinite(x).all():
+                raise ImmunorecError(
+                    f"user {antigen.user_id}: concentrations stopped being finite "
+                    f"at iteration {iterations}"
+                )
+            prune_and_replace(state, params, rng)
+            if state.stable_count >= params.stability_window:
+                converged = True
+                break
     if not converged:
         log.warning(
             "no convergence within %d iterations (stable for %d)",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import types
 from decimal import Decimal, localcontext
@@ -23,16 +24,15 @@ from immunorec import (
 from immunorec.affinity import (
     _POOL_CHUNK,
     PearsonResult,
-    _affinity_terms,
     _exact_dtype,
     _tau_form_dtype,
     _terms_dtypes,
+    _usable,
     affinity,
     category_affinity,
     category_matrix,
 )
 from immunorec.errors import ConfigError, InsufficientOverlapError
-from immunorec.immune_network import ImmuneParams, _usable
 
 overlapping_profiles = st.integers(min_value=0, max_value=2**32 - 1).map(
     lambda seed: _random_pair(seed, min_common=2)
@@ -417,17 +417,16 @@ class TestAffinityBlock:
         profiles = [UserProfile(uid, ratings) for uid, ratings in enumerate(pool, start=1)]
         rows = [UserProfile(99, antigen), *profiles]
         measure = AffinityMeasure(kind, min_overlap=min_overlap)
-        params = ImmuneParams(remap_negative=remap)
-        got = _usable(*_kernel(measure, rows, profiles), params)
+        got = _usable(*_kernel(measure, rows, profiles), remap)
         want = [
-            [float(_usable(v.value, v.insufficient_overlap, params))
+            [float(_usable(v.value, v.insufficient_overlap, remap))
              for v in (affinity(measure, a, b) for b in profiles)]
             for a in rows
         ]
         assert got.tolist() == want
         # the same pairs with the large block first: the kernel gathers
         # Weighted Kappa credits over its first block, whichever is smaller
-        swapped = _usable(*_kernel(measure, profiles, rows), params)
+        swapped = _usable(*_kernel(measure, profiles, rows), remap)
         assert swapped.tolist() == got.T.tolist()
         needed = max(min_overlap, 1 if kind is AffinityKind.WEIGHTED_KAPPA else 2)
         for i, a in enumerate(rows):
@@ -524,17 +523,17 @@ class TestPoolAffinities:
         rows = np.array(rows) % len(profiles)
         cols = np.array(cols) % len(profiles)
         measure = AffinityMeasure(kind, min_overlap=min_overlap)
-        params = ImmuneParams(remap_negative=remap)
 
         def fresh(idx):
             return category_matrix([profiles[i] for i in idx], dataset.movie_array)
 
-        want = _usable(*category_affinity(measure, fresh(rows), fresh(cols)), params)
-        stored = PoolAffinities.precomputed(dataset, measure)
-        for source in (stored, PoolAffinities(dataset, measure)):
-            values, short = source.block(rows, cols)
-            assert values.dtype == np.float64
-            assert _usable(values, short, params).tolist() == want.tolist()
+        want = _usable(*category_affinity(measure, fresh(rows), fresh(cols)), remap)
+        stored = PoolAffinities.precomputed(dataset, measure, remap)
+        for source in (stored, PoolAffinities(dataset, measure, remap)):
+            got = source.block(rows, cols)
+            assert got.dtype == np.float64
+            assert got.shape == (len(rows), len(cols))
+            assert got.tobytes() == want.tobytes()
             assert source.rows(rows).tolist() == fresh(rows).tolist()
 
     @given(
@@ -544,15 +543,16 @@ class TestPoolAffinities:
         outsiders=st.lists(_ratings(16, min_size=0), max_size=3),
         kind=st.sampled_from(AffinityKind),
         min_overlap=st.sampled_from([1, 2, 3]),
+        remap=st.booleans(),
     )
     # an antigen that shares no movie with the pool: the kernel gets a block
     # with no movie column
     @example(
         pool=[{1: 1, 2: 3}, {1: 2, 2: 1}], rows=[0, 1], hidden=[], outsiders=[{13: 4}],
-        kind=AffinityKind.KENDALLS_TAU, min_overlap=1,
+        kind=AffinityKind.KENDALLS_TAU, min_overlap=1, remap=True,
     )
     def test_antigen_affinity_equals_fresh_kernel(
-        self, pool, rows, hidden, outsiders, kind, min_overlap
+        self, pool, rows, hidden, outsiders, kind, min_overlap, remap
     ):
         # one batch of leave-one-out antigens (pool users minus one movie,
         # maybe the same user twice) and users outside the pool, who may rate
@@ -568,30 +568,70 @@ class TestPoolAffinities:
         measure = AffinityMeasure(kind, min_overlap=min_overlap)
         movies = dataset.movie_array
         cols = category_matrix([profiles[i] for i in rows], movies)
-        stored = PoolAffinities.precomputed(dataset, measure)
-        for source in (stored, PoolAffinities(dataset, measure)):
+        stored = PoolAffinities.precomputed(dataset, measure, remap)
+        for source in (stored, PoolAffinities(dataset, measure, remap)):
             batch = source.antigen_affinities(antigens)
             assert len(batch) == len(antigens)
             for antigen, lookup in zip(antigens, batch):
-                want = category_affinity(measure, category_matrix([antigen], movies), cols)
+                fresh = category_affinity(measure, category_matrix([antigen], movies), cols)
+                want = _usable(*fresh, remap)[0]
                 single = source.antigen_affinities([antigen])[0](rows)
                 got = lookup(rows)
-                assert got[0].dtype == np.float64
-                assert got[0].shape == (1, len(rows))
-                assert got[0].tobytes() == single[0].tobytes() == want[0].tobytes()
-                assert got[1].tolist() == single[1].tolist() == want[1].tolist()
+                assert got.dtype == np.float64
+                assert got.shape == (len(rows),)
+                assert got.tobytes() == single.tobytes() == want.tobytes()
 
-    def test_integer_storage(self, standard_dataset):
-        for kind in (AffinityKind.WEIGHTED_KAPPA, AffinityKind.KENDALLS_TAU):
-            numerators, overlaps = PoolAffinities.precomputed(
-                standard_dataset, AffinityMeasure(kind)
-            ).terms
-            # 30 to 60 ratings per user
-            assert numerators.dtype == np.int16
-            assert overlaps.dtype == np.int8
-            assert np.array_equal(numerators, numerators.T)
-            assert np.array_equal(overlaps, overlaps.T)
-            assert np.diagonal(overlaps).tolist() == [len(p) for p in standard_dataset]
+    @given(
+        pool=st.lists(_ratings(12, min_size=1), min_size=1, max_size=8),
+        antigen=_ratings(16, min_size=0),
+        kind=st.sampled_from(AffinityKind),
+        min_overlap=st.sampled_from([1, 2, 3]),
+        remap=st.booleans(),
+    )
+    # an antigen that shares no movie with the pool
+    @example(
+        pool=[{1: 1, 2: 3}, {1: 2, 2: 1, 3: 6}], antigen={13: 4, 14: 2},
+        kind=AffinityKind.PEARSON, min_overlap=1, remap=True,
+    )
+    def test_store_block_and_per_pair_agree_bytewise(
+        self, pool, antigen, kind, min_overlap, remap
+    ):
+        # the precomputed store, both pools' blocks and antigen functions,
+        # and affinity() made usable pair by pair: the same float64 bytes,
+        # short pairs (movies 1..12, so many share under three) included
+        profiles = [UserProfile(uid, ratings) for uid, ratings in enumerate(pool, start=1)]
+        dataset = Dataset.from_profiles(profiles)
+        measure = AffinityMeasure(kind, min_overlap=min_overlap)
+        everyone = np.arange(len(profiles))
+
+        def per_pair(a, b):
+            value = affinity(measure, a, b)
+            return _usable(value.value, value.insufficient_overlap, remap)
+
+        want = np.array([[per_pair(a, b) for b in profiles] for a in profiles])
+        stored = PoolAffinities.precomputed(dataset, measure, remap)
+        on_demand = PoolAffinities(dataset, measure, remap)
+        assert stored.usable.tobytes() == want.tobytes()
+        for source in (stored, on_demand):
+            assert source.block(everyone, everyone).tobytes() == want.tobytes()
+        # the antigen may rate movies 13..16, which no pool profile has
+        outsider = UserProfile(99, antigen)
+        want_antigen = np.array([per_pair(outsider, b) for b in profiles])
+        for source in (stored, on_demand):
+            got = source.antigen_affinities([outsider])[0](everyone)
+            assert got.tobytes() == want_antigen.tobytes()
+
+    def test_usable_storage(self, standard_dataset):
+        # one n x n float64 store, symmetric, with every user's self-affinity
+        # on the diagonal and no term array beside it
+        users = len(standard_dataset)
+        for kind, remap in itertools.product(AffinityKind, [False, True]):
+            pool = PoolAffinities.precomputed(standard_dataset, AffinityMeasure(kind), remap)
+            assert pool.usable.dtype == np.float64
+            assert pool.usable.shape == (users, users)
+            assert np.array_equal(pool.usable, pool.usable.T)
+            assert np.diagonal(pool.usable).tolist() == [1.0] * users
+            assert not hasattr(pool, "terms")
 
     @pytest.mark.parametrize("kind", list(AffinityKind))
     def test_constructed_dataset_equals_from_profiles(self, kind):
@@ -609,8 +649,9 @@ class TestPoolAffinities:
         everyone = np.arange(len(profiles))
         got = PoolAffinities.precomputed(built, measure).block(everyone, everyone)
         want = PoolAffinities.precomputed(loaded, measure).block(everyone, everyone)
-        assert [a.tolist() for a in got] == [a.tolist() for a in want]
-        assert not got[1].any()
+        assert got.tobytes() == want.tobytes()
+        # every pair shares two movies, so none is short
+        assert got.tolist() == [[affinity(measure, a, b).value for b in profiles] for a in profiles]
 
     @pytest.mark.parametrize("users", [0, 1, 4, 5, 6, 11])
     def test_tau_build_equals_kernel_and_per_pair(self, users):
@@ -623,27 +664,27 @@ class TestPoolAffinities:
             movies = rng.choice(16, size=rng.integers(1, 15), replace=False) + 1
             profiles.append(UserProfile(uid, _seeded_ratings(uid, sorted(movies))))
         dataset = Dataset.from_profiles(profiles)
-        pool = PoolAffinities.precomputed(dataset, AffinityMeasure(AffinityKind.KENDALLS_TAU))
-        numerators, overlaps = pool.terms
-        kernel = _affinity_terms(AffinityKind.KENDALLS_TAU, pool.categories, pool.categories)
-        assert numerators.tolist() == kernel[0].tolist()
-        assert overlaps.tolist() == kernel[1].tolist()
+        measure = AffinityMeasure(AffinityKind.KENDALLS_TAU)
+        pool = PoolAffinities.precomputed(dataset, measure)
+        kernel = category_affinity(measure, pool.categories, pool.categories)
+        assert pool.usable.tobytes() == _usable(*kernel, False).tobytes()
         for i, a in enumerate(profiles):
             for j, b in enumerate(profiles):
                 common = len(set(a.categories) & set(b.categories))
-                assert overlaps[i, j] == common
                 if common < 2:
-                    assert numerators[i, j] == 0
+                    assert pool.usable[i, j] == 0.0
                 else:
                     tau = kendalls_tau(a, b)
-                    assert numerators[i, j] == 2 * (tau.concordant - tau.discordant)
+                    assert pool.usable[i, j] == (
+                        2 * (tau.concordant - tau.discordant) / (common * (common - 1))
+                    )
 
     @pytest.mark.parametrize("users", [0, 1])
     def test_tiny_pools(self, users):
         dataset = Dataset.from_profiles([UserProfile(7, {1: 3, 2: 5})][:users])
         pool = PoolAffinities.precomputed(dataset, AffinityMeasure(AffinityKind.KENDALLS_TAU))
         assert pool.categories.shape == (users, users * 2)
-        assert [t.shape for t in pool.terms] == [(users, users)] * 2
+        assert pool.usable.shape == (users, users)
 
 
 @pytest.mark.parametrize(

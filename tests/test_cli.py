@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -232,6 +233,15 @@ class TestRecommend:
             "--count", "3", "--seed", "7",
         ]) == 2
 
+    def test_pool_shortfall_warned_once(self, data_file, caplog):
+        with caplog.at_level(logging.WARNING):
+            assert main([
+                "recommend", str(data_file), "--min-ratings", "1", "--user", "3", "--seed", "1",
+            ]) == 0
+        assert [r.getMessage() for r in caplog.records if "shortfall" in r.getMessage()] == [
+            "pool shortfall: wanted 100 antibodies, only 29 candidates"
+        ]
+
     def test_empty_pool_exits_three(self, tmp_path, capsys):
         path = tmp_path / "single.csv"
         path.write_text("".join(f"1,{m},4\n" for m in range(1, 6)), encoding="utf-8")
@@ -373,10 +383,10 @@ class TestEval:
         ]) == 0
         assert "fallback trials 2" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("split", [["--pool-threshold", "100000"], []],
-                             ids=["no-user", "antigen-only"])
+    @pytest.mark.parametrize("split", [[]], ids=["antigen-only"])
     def test_accuracy_empty_pool_exits_three(self, tmp_path, capsys, split):
-        # a pool with no user, and one whose only user is the antigen
+        # a pool whose only user is the antigen; a split that leaves no pool
+        # user is a config error (test_empty_split_side_exits_one)
         path = tmp_path / "single.csv"
         path.write_text("".join(f"1,{m},4\n" for m in range(1, 11)), encoding="utf-8")
         assert main([
@@ -385,6 +395,41 @@ class TestEval:
         ]) == 3
         err = capsys.readouterr().err
         assert err.endswith("runtime error: no eligible candidate antibodies in the pool\n")
+
+    @pytest.mark.parametrize(
+        "command, split, sizes",
+        [
+            ("accuracy", ["--split-fraction", "0.001"], "0 pool users, 30 test users"),
+            ("accuracy", ["--split-fraction", "0.999"], "30 pool users, 0 test users"),
+            ("accuracy", ["--pool-threshold", "30"], "0 pool users, 30 test users"),
+            ("accuracy", ["--pool-threshold", "100000"], "0 pool users, 30 test users"),
+            ("compare", ["--split-fraction", "0.999"], "30 pool users, 0 test users"),
+        ],
+        ids=[
+            "fraction-0.001", "fraction-0.999", "pool-threshold-30", "pool-threshold-100000",
+            "compare-fraction-0.999",
+        ],
+    )
+    def test_empty_split_side_exits_one(self, data_file, capsys, command, split, sizes):
+        # user ids are 1..30
+        assert main([
+            "eval", command, str(data_file), "--min-ratings", "1",
+            "--users", "2", "--trials", "2", "--seed", "5", *split,
+        ]) == 1
+        assert capsys.readouterr().err == (
+            f"immunorec: config error: {' '.join(split)} leaves a side empty: {sizes}\n"
+        )
+
+    def test_pool_shortfall_warned_once_per_experiment(self, data_file, caplog):
+        # two users of three trials each: six runs, one warning
+        with caplog.at_level(logging.WARNING):
+            assert main([
+                "eval", "accuracy", str(data_file), "--min-ratings", "1", "--users", "2",
+                "--trials", "3", "--population", "100000", "--seed", "1",
+            ]) == 0
+        assert [r.getMessage() for r in caplog.records if "shortfall" in r.getMessage()] == [
+            "pool shortfall: wanted 100000 antibodies, only 29 candidates"
+        ]
 
     def test_split_fraction_out_of_range_exits_one(self, data_file, capsys):
         assert main([
@@ -487,6 +532,20 @@ def test_log_env_var_controls_verbosity(data_file):
     quiet = _run_cli_process(args, log="error")
     assert quiet.returncode == 0
     assert "INFO" not in quiet.stderr
+
+
+def test_pool_shortfall_one_line_with_workers(data_file):
+    # two worker processes run the six trials; the experiment warns before them
+    result = _run_cli_process(
+        ["eval", "accuracy", str(data_file), "--min-ratings", "1", "--users", "2",
+         "--trials", "3", "--population", "100000", "--jobs", "2", "--seed", "1"],
+        log="warn",
+    )
+    assert result.returncode == 0
+    assert result.stderr == (
+        "WARNING immunorec.immune_network: pool shortfall: "
+        "wanted 100000 antibodies, only 29 candidates\n"
+    )
 
 
 def test_runaway_concentration_stderr_has_no_numpy_warnings(data_file):

@@ -200,7 +200,7 @@ class TestAccuracyExperiment:
         # computed per admission
         data = self._varied()
         report = accuracy_experiment(data, data, measure, CHURN_PARAMS, users=3, trials=3, seed=8)
-        on_demand = PoolAffinities(data, measure)
+        on_demand = PoolAffinities(data, measure, CHURN_PARAMS.remap_negative)
         assert report.rows == tuple(
             user_accuracy(data.users[row.user_id], on_demand, CHURN_PARAMS, trials=3, seed=8)
             for row in report.rows
@@ -211,7 +211,7 @@ class TestAccuracyExperiment:
         # every trial's leave-one-out antigen against the precomputed pool in
         # one kernel call, while the runs prune and admit
         data = self._varied()
-        pool = PoolAffinities.precomputed(data, KT)
+        pool = PoolAffinities.precomputed(data, KT, CHURN_PARAMS.remap_negative)
         calls = []
         kernel = affinity_module.category_affinity
         monkeypatch.setattr(

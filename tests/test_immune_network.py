@@ -21,9 +21,9 @@ from immunorec import (
     prune_and_replace,
     run_to_convergence,
 )
-from immunorec.affinity import affinity, category_affinity, category_matrix
-from immunorec.immune_network import AisState, _usable
-from immunorec.errors import ConfigError, EmptyPoolError
+from immunorec.affinity import _usable, affinity, category_affinity, category_matrix
+from immunorec.immune_network import AisState, warn_shortfall
+from immunorec.errors import ConfigError, EmptyPoolError, ImmunorecError
 
 from conftest import STANDARD_SYNTHETIC
 
@@ -57,7 +57,7 @@ def _assert_matches_recompute(
 
     def usable(a: UserProfile, b: UserProfile) -> float:
         value = affinity(state.pool.measure, a, b)
-        return float(_usable(value.value, value.insufficient_overlap, params))
+        return float(_usable(value.value, value.insufficient_overlap, params.remap_negative))
 
     members = _member_profiles(state)
     assert state.antigen_affinities.tolist() == [usable(antigen, p) for p in members]
@@ -188,15 +188,57 @@ class TestInitPopulation:
         assert a.member_ids != b.member_ids
 
     def test_shortfall_clamps_and_warns(self, caplog):
-        pool = _small_pool(30)
+        # init_population clamps quietly; warn_shortfall reports it once
+        pool = PoolAffinities(_small_pool(30), WK)
         antigen = UserProfile(999, {1: 4})
+        params = ImmuneParams(population_size=100)
         with caplog.at_level(logging.WARNING, logger="immunorec.immune_network"):
-            state = init_population(
-                antigen, PoolAffinities(pool, WK), ImmuneParams(population_size=100), seed=1
-            )
+            state = init_population(antigen, pool, params, seed=1)
+            assert not caplog.records
+            warn_shortfall(pool, [antigen.user_id], params)
         assert len(state.members) == 30
         assert len(state.pool_remaining) == 0
-        assert any("shortfall" in record.message for record in caplog.records)
+        assert [record.message for record in caplog.records] == [
+            "pool shortfall: wanted 100 antibodies, only 30 candidates"
+        ]
+
+    @pytest.mark.parametrize(
+        "size, antigen_ids, population, message",
+        [
+            (30, [999], 30, None),
+            (30, [999], 31, "only 30 candidates"),
+            (30, [999, 4], 30, "only 29 candidates"),
+            (30, [4], 29, None),
+            # no candidate at all: the run raises EmptyPoolError instead
+            (1, [1], 100, None),
+        ],
+    )
+    def test_warn_shortfall_counts_the_fewest_candidates(
+        self, caplog, size, antigen_ids, population, message
+    ):
+        # a pooled antigen is never its own candidate
+        pool = PoolAffinities(_small_pool(size), WK)
+        with caplog.at_level(logging.WARNING, logger="immunorec.immune_network"):
+            warn_shortfall(pool, antigen_ids, ImmuneParams(population_size=population))
+        got = [record.message for record in caplog.records]
+        assert got == ([] if message is None else [
+            f"pool shortfall: wanted {population} antibodies, {message}"
+        ])
+
+    @pytest.mark.parametrize("precomputed", [False, True], ids=["on-demand", "precomputed"])
+    @pytest.mark.parametrize("pool_remap", [False, True], ids=["raw-pool", "remap-pool"])
+    def test_remap_mismatch_raises(self, precomputed, pool_remap):
+        build = PoolAffinities.precomputed if precomputed else PoolAffinities
+        pool = build(_small_pool(10), WK, remap_negative=pool_remap)
+        antigen = UserProfile(999, {1: 4})
+        with pytest.raises(ConfigError, match="remap_negative"):
+            init_population(
+                antigen, pool, ImmuneParams(population_size=5, remap_negative=not pool_remap), 1
+            )
+        state = init_population(
+            antigen, pool, ImmuneParams(population_size=5, remap_negative=pool_remap), 1
+        )
+        assert len(state.members) == 5
 
     def test_antigen_excluded_even_if_pooled(self):
         pool = _small_pool(25)
@@ -303,7 +345,9 @@ class TestPruneAndReplace:
         antigen = UserProfile(999, {m: (m % 6) + 1 for m in range(1, 13)})
         kt = AffinityMeasure(AffinityKind.KENDALLS_TAU)
         params = ImmuneParams(population_size=10, remap_negative=True)
-        state = init_population(antigen, PoolAffinities(pool, kt), params, seed=4)
+        state = init_population(
+            antigen, PoolAffinities(pool, kt, remap_negative=True), params, seed=4
+        )
         _assert_matches_recompute(state, antigen, params)
         assert len(set(state.antigen_affinities.tolist())) > 1
         rng = np.random.default_rng(2)
@@ -327,7 +371,10 @@ class TestPruneAndReplace:
         # the same run on blocks computed per admission and on blocks
         # indexed from the precomputed pool
         histories = []
-        for source in (PoolAffinities(pool, measure), PoolAffinities.precomputed(pool, measure)):
+        for source in (
+            PoolAffinities(pool, measure, remap),
+            PoolAffinities.precomputed(pool, measure, remap),
+        ):
             state = init_population(antigen, source, params, seed=4)
 
             def assert_rows():
@@ -337,7 +384,7 @@ class TestPruneAndReplace:
                     category_matrix([antigen], movies),
                     category_matrix(_member_profiles(state), movies),
                 )
-                want = _usable(*fresh, params)[0]
+                want = _usable(*fresh, remap)[0]
                 assert state.antigen_affinities.tolist() == want.tolist()
                 assert state.member_ids == [p.user_id for p in _member_profiles(state)]
 
@@ -363,7 +410,7 @@ class TestPruneAndReplace:
         # the antigen's affinities with every pool row, once per run; every
         # admission after that only indexes them
         kt = AffinityMeasure(AffinityKind.KENDALLS_TAU)
-        pool = PoolAffinities.precomputed(_small_pool(40), kt)
+        pool = PoolAffinities.precomputed(_small_pool(40), kt, remap_negative=True)
         antigen = UserProfile(999, {m: (m % 6) + 1 for m in range(1, 13)})
         params = ImmuneParams(
             population_size=10, prune_threshold=0.5, stability_window=50, remap_negative=True
@@ -382,6 +429,60 @@ class TestPruneAndReplace:
         run_to_convergence(antigen, pool, params, seed=4)
         assert len(admissions) > 1
         assert len(kernel_calls) == 1
+
+    @pytest.mark.parametrize("kind", list(AffinityKind), ids=["wk", "kt", "pearson"])
+    def test_precomputed_run_divides_nothing(self, kind, monkeypatch):
+        # once the pool and the antigen's function are built, every
+        # admission is a take of usable values: no division, no remap
+        pool = PoolAffinities.precomputed(_small_pool(40), AffinityMeasure(kind), True)
+        antigen = UserProfile(999, {m: (m % 6) + 1 for m in range(1, 13)})
+        antigen_affinity = pool.antigen_affinities([antigen])[0]
+        params = ImmuneParams(
+            population_size=10, prune_threshold=0.5, stability_window=50, remap_negative=True
+        )
+        calls, admissions = [], []
+        admit = immunorec.immune_network._draw_and_admit
+        for name in ("_affinity_values", "_usable", "category_matrix"):
+            monkeypatch.setattr(
+                immunorec.affinity, name, lambda *args, name=name: calls.append(name)
+            )
+        monkeypatch.setattr(
+            immunorec.immune_network, "_draw_and_admit",
+            lambda *args: admissions.append(1) or admit(*args),
+        )
+        run_to_convergence(antigen, pool, params, seed=4, antigen_affinity=antigen_affinity)
+        assert len(admissions) > 1
+        assert calls == []
+
+    def test_on_demand_admission_builds_newcomer_rows_once(self, monkeypatch):
+        # one category_matrix call for the antigen, then one per admission
+        # for its newcomers alone: the antigen column reuses their rows and
+        # members admitted earlier are not rebuilt
+        pool = PoolAffinities(_small_pool(40), AffinityMeasure(AffinityKind.KENDALLS_TAU), True)
+        antigen = UserProfile(999, {m: (m % 6) + 1 for m in range(1, 13)})
+        params = ImmuneParams(
+            population_size=10, prune_threshold=0.5, stability_window=50, remap_negative=True
+        )
+        built, admissions = [], []
+        matrix = immunorec.affinity.category_matrix
+        admit = immunorec.immune_network._draw_and_admit
+
+        def counted(profiles, movies):
+            built.append([p.user_id for p in profiles])
+            return matrix(profiles, movies)
+
+        monkeypatch.setattr(immunorec.affinity, "category_matrix", counted)
+        monkeypatch.setattr(
+            immunorec.immune_network, "_draw_and_admit",
+            lambda *args: admissions.append(args[1]) or admit(*args),
+        )
+        run_to_convergence(antigen, pool, params, seed=4)
+        assert len(admissions) > 1
+        assert len(built) == 1 + len(admissions)
+        assert built[0] == [999]
+        assert [len(ids) for ids in built[1:]] == admissions
+        rows = [uid for ids in built[1:] for uid in ids]
+        assert len(rows) == len(set(rows))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -417,7 +518,8 @@ class TestPruneAndReplace:
         )
         run_rng = np.random.default_rng(run_seed)
         state = init_population(
-            antigen, PoolAffinities(pool, AffinityMeasure(kind)), params, run_rng
+            antigen, PoolAffinities(pool, AffinityMeasure(kind), remap_negative=True), params,
+            run_rng,
         )
         discarded: set[int] = set()
 
@@ -506,11 +608,36 @@ class TestRunToConvergence:
         assert len(final.members) == 0
         assert not final.converged
 
+    def test_huge_finite_concentrations_pass(self):
+        # five concentrations of 1e308 whose sum overflows: the run checks
+        # each value, not the sum, and does not stop
+        antigen = UserProfile(999, {1000 + m: 3 for m in range(5)})
+        pool = Dataset.from_profiles(
+            [UserProfile(uid, {uid * 10 + 1: 3}) for uid in range(1, 6)]
+        )
+        params = ImmuneParams(
+            population_size=5, death_rate=0.0, initial_concentration=1e308, stability_window=3
+        )
+        final = run_to_convergence(antigen, PoolAffinities(pool, WK), params, seed=1)
+        assert final.converged
+        assert final.iterations_used == 3
+        assert [weight for _, weight in final.members] == [1e308] * 5
+
+    def test_non_finite_concentration_names_the_run(self):
+        antigen = UserProfile(999, {m: 3 for m in range(1, 4)})
+        pool = Dataset.from_profiles(
+            [UserProfile(uid, {m: 3 for m in range(1, 4)}) for uid in range(1, 6)]
+        )
+        params = ImmuneParams(population_size=5, stimulation_rate=1e308, suppression_rate=0.0)
+        with pytest.raises(ImmunorecError, match="user 999: .* at iteration 2"):
+            run_to_convergence(antigen, PoolAffinities(pool, WK), params, seed=1)
+
     def test_remap_negative_shifts_affinities(self, standard_dataset):
         kt = AffinityMeasure(AffinityKind.KENDALLS_TAU)
         antigen = standard_dataset.users[5]
         params = ImmuneParams(remap_negative=True, max_iterations=0)
-        state = init_population(antigen, PoolAffinities(standard_dataset, kt), params, seed=3)
+        pool = PoolAffinities(standard_dataset, kt, remap_negative=True)
+        state = init_population(antigen, pool, params, seed=3)
         assert np.all(state.antigen_affinities >= 0.0)
         assert np.all(state.matrix >= 0.0)
         assert np.all(state.matrix <= 1.0)

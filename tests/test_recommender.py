@@ -215,7 +215,7 @@ class TestRecommendTopN:
         ],
     )
     def test_equals_predict_rating_bit_for_bit(self, standard_dataset, kind, remap):
-        pool = PoolAffinities(standard_dataset, AffinityMeasure(kind))
+        pool = PoolAffinities(standard_dataset, AffinityMeasure(kind), remap)
         for i in range(3):
             antigen = standard_dataset.users[standard_dataset.user_ids[7 * i]]
             final = run_to_convergence(
