@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -401,6 +401,20 @@ def _usable(values: np.ndarray, short: np.ndarray, remap_negative: bool) -> np.n
     return np.where(short, 0.0, values)
 
 
+class _Profiles(Sequence[UserProfile]):
+    """Pool row -> profile, read from a dataset's users on each access."""
+
+    def __init__(self, users: Mapping[int, UserProfile], ids: list[int]) -> None:
+        self._users = users
+        self._ids = ids
+
+    def __getitem__(self, row: int) -> UserProfile:
+        return self._users[self._ids[row]]
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+
 #: Pool rows -> one antigen's usable affinities with them, one per row.
 AntigenAffinity = Callable[[np.ndarray], np.ndarray]
 
@@ -416,10 +430,11 @@ class PoolAffinities:
     gives, for any rows x cols, exactly the :func:`_usable` values of
     :func:`category_affinity` on those users' category rows, remapped when
     ``remap_negative`` is set. A plain instance runs the kernel on every
-    call and builds each user's category row when it is first needed, so it
-    costs nothing up front; :meth:`precomputed` runs the kernel once over
-    every pair of the pool and keeps the n x n float64 usable values, so
-    that a block is one ``take``.
+    call and reads each user's profile, and builds its category row, when it
+    is first needed, so it costs nothing up front; :meth:`precomputed` reads
+    every profile, runs the kernel once over every pair of the pool and
+    keeps the n x n float64 usable values, so that a block is one ``take``.
+    ``profiles[i]`` is row ``i``'s profile either way.
     """
 
     def __init__(
@@ -430,7 +445,8 @@ class PoolAffinities:
         self.movies = dataset.movie_array
         ids = dataset.user_ids
         self.user_ids = np.array(ids, dtype=np.int64)
-        self.profiles = [dataset.users[uid] for uid in ids]
+        # each profile is read from the dataset when first asked for
+        self.profiles: Sequence[UserProfile] = _Profiles(dataset.users, ids)
         # the category rows built so far, and each pool row's place among them
         # (-1 until it is built)
         self.categories = np.empty((0, len(self.movies)), dtype=np.int8)
@@ -451,6 +467,8 @@ class PoolAffinities:
         once and slices each chunk from it.
         """
         pool = cls(dataset, measure, remap_negative)
+        # a plain list, so the pool holds no reference to the dataset
+        pool.profiles = list(pool.profiles)
         categories = pool.categories = category_matrix(pool.profiles, pool.movies)
         n, movies = categories.shape
         pool.slots = np.arange(n)

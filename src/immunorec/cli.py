@@ -45,6 +45,7 @@ from .domain import Dataset, common_categories
 from .errors import (
     ConfigError,
     EmptyDatasetError,
+    EmptyPoolError,
     ImmunorecError,
     InsufficientAntigensError,
     InsufficientOverlapError,
@@ -65,6 +66,7 @@ EXIT_RUNTIME = 3
 _DATA_ERRORS = (
     ParseError,
     EmptyDatasetError,
+    EmptyPoolError,
     UnknownUserError,
     InsufficientAntigensError,
     InsufficientRatingsError,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import Dataset, UserProfile, category_from_rating
+from .domain import Dataset, RatingColumns, UserProfile, category_from_rating
 from .errors import ConfigError, EmptyDatasetError, ParseError
 
 log = logging.getLogger(__name__)
@@ -89,8 +89,12 @@ def _parse_category(text: str, fmt: FileFormat, line: int) -> int:
         raise ParseError(line, 3, f"rating {value!r} is not on the 6-point scale") from None
 
 
-def _parse_columns(path: Path) -> dict[int, dict[int, int]] | None:
-    """Each user's ratings from a clean ``category_csv`` file, parsed in bulk.
+#: The three rating columns (user, movie, category), in file order.
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _parse_columns(path: Path) -> Columns | None:
+    """The rating columns of a clean ``category_csv`` file, parsed in bulk.
 
     Returns None, having raised nothing, unless the file holds only digits,
     commas and LF, at least one digit, and rows of three integers below
@@ -110,27 +114,23 @@ def _parse_columns(path: Path) -> dict[int, dict[int, int]] | None:
     users, movies, categories = rows.T
     if users.min() < 1 or movies.min() < 1 or categories.min() < 1 or categories.max() > 6:
         return None
-    if (np.diff(users) < 0).any():
-        order = np.argsort(users, kind="stable")
-        users, movies, categories = users[order], movies[order], categories[order]
-    starts = [0, *(np.flatnonzero(np.diff(users)) + 1).tolist()]
-    user_ids = users[starts].tolist()
-    # each column becomes one list, and the array goes before the dicts grow
-    movie_list, category_list = movies.tolist(), categories.tolist()
-    del rows, users, movies, categories
-    by_user = {}
-    for user_id, lo, hi in zip(user_ids, starts, [*starts[1:], len(movie_list)]):
-        # each slice keeps file order, as the line parser's dicts do
-        ratings = dict(zip(movie_list[lo:hi], category_list[lo:hi]))
-        if len(ratings) < hi - lo:
+    # keys in strictly ascending (user, movie) order, as save_ratings writes
+    # them, hold no duplicate; any other order is sorted once to find one
+    same_user = users[1:] == users[:-1]
+    if (users[1:] < users[:-1]).any() or (same_user & (movies[1:] <= movies[:-1])).any():
+        order = np.lexsort((movies, users))
+        u, m = users[order], movies[order]
+        if ((u[1:] == u[:-1]) & (m[1:] == m[:-1])).any():
             return None
-        by_user[user_id] = ratings
-    return by_user
+    return users, movies, categories
 
 
-def _parse_lines(path: Path, fmt: FileFormat) -> dict[int, dict[int, int]]:
-    """Each user's ratings, read one line at a time; raises on the first bad row."""
-    by_user: dict[int, dict[int, int]] = {}
+def _parse_lines(path: Path, fmt: FileFormat) -> Columns:
+    """The rating columns, read one line at a time; raises on the first bad row."""
+    users: list[int] = []
+    movies: list[int] = []
+    categories: list[int] = []
+    keys: set[tuple[int, int]] = set()
     # A byte that is not UTF-8 reads as a lone surrogate, which no field
     # parses, so its row fails in order like any other malformed row.
     try:
@@ -151,18 +151,21 @@ def _parse_lines(path: Path, fmt: FileFormat) -> dict[int, dict[int, int]]:
                         raise ParseError(lineno, column, f"ids must be positive in {row!r}")
                 user_id, movie_id = ids
                 category = _parse_category(fields[2], fmt, lineno)
-                ratings = by_user.setdefault(user_id, {})
-                if movie_id in ratings:
+                if ids in keys:
                     raise ParseError(
                         lineno, 2, f"duplicate rating for user {user_id}, movie {movie_id}"
                     )
-                ratings[movie_id] = category
+                keys.add(ids)
+                users.append(user_id)
+                movies.append(movie_id)
+                categories.append(category)
     except ParseError:
         for column, text in enumerate(row.split(","), start=1):
             if bad := [ord(ch) - 0xDC00 for ch in text if "\udc80" <= ch <= "\udcff"]:
                 raise ParseError(lineno, column, f"byte 0x{bad[0]:02x} is not UTF-8") from None
         raise
-    return by_user
+    # ids stay exact: numpy takes int64 where they fit, a wider or object dtype beyond
+    return np.array(users), np.array(movies), np.array(categories, dtype=np.int8)
 
 
 def load_ratings(path: str | Path, config: IngestConfig) -> tuple[Dataset, LoadReport]:
@@ -174,31 +177,49 @@ def load_ratings(path: str | Path, config: IngestConfig) -> tuple[Dataset, LoadR
 
     Users with fewer than ``config.min_ratings_per_user`` ratings are dropped
     and counted. Raises :class:`EmptyDatasetError` if no user survives.
+
+    The dataset keeps the kept users' ratings as columns: each profile is
+    built, and checked, when it is first read (:class:`RatingColumns`).
     """
     path = Path(path)
-    by_user = None
+    columns = None
     if config.format is FileFormat.CATEGORY_CSV:
-        by_user = _parse_columns(path)
-    if by_user is None:
-        by_user = _parse_lines(path, config.format)
+        columns = _parse_columns(path)
+    if columns is None:
+        columns = _parse_lines(path, config.format)
+    users, movies, categories = columns
+    del columns
 
-    profiles = []
-    dropped = 0
-    for user_id in sorted(by_user):
-        ratings = by_user[user_id]
-        if len(ratings) < config.min_ratings_per_user:
-            dropped += 1
-            continue
-        profiles.append(UserProfile(user_id, ratings))
-
-    dataset = Dataset.from_profiles(profiles)
+    # group by user, each user's ratings in file order
+    if (users[1:] < users[:-1]).any():
+        order = np.argsort(users, kind="stable")
+        users, movies, categories = users[order], movies[order], categories[order]
+    first = np.ones(len(users), dtype=bool)
+    first[1:] = users[1:] != users[:-1]
+    counts = np.diff(np.flatnonzero(first), append=len(users))
+    kept = counts >= config.min_ratings_per_user
+    if not kept.all():
+        rows = np.repeat(kept, counts)
+        users, movies, categories = users[rows], movies[rows], categories[rows]
+        counts = counts[kept]
+    bounds = np.append(0, np.cumsum(counts))
+    dataset = Dataset(
+        RatingColumns(
+            users[bounds[:-1]].tolist(),
+            bounds.tolist(),
+            # contiguous copies, so that the parsed rows can be freed
+            np.ascontiguousarray(movies),
+            categories.astype(np.int8, copy=False),
+        )
+    )
+    del users, movies, categories
     if not dataset.users:
         raise EmptyDatasetError(
             f"{path}: no user passed the {config.min_ratings_per_user}-rating minimum"
         )
     report = LoadReport(
         users_kept=len(dataset.users),
-        users_dropped=dropped,
+        users_dropped=int((~kept).sum()),
         movies=len(dataset.movie_array),
     )
     log.info("loaded %s: %s", path, report.to_json())

@@ -8,9 +8,9 @@ of the downstream arithmetic ever compares inexact floats.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -129,11 +129,52 @@ def common_categories(a: UserProfile, b: UserProfile) -> tuple[np.ndarray, np.nd
     return tuple(np.array(column, dtype=np.int64) for column in columns)
 
 
+class RatingColumns(Mapping[int, UserProfile]):
+    """Loaded ratings as columns, read as a user id -> :class:`UserProfile` mapping.
+
+    ``movies`` and ``categories`` hold every kept rating grouped by user in
+    ascending user order, each user's ratings in file order; user
+    ``user_ids[i]`` owns rows ``bounds[i]:bounds[i + 1]``. A user's profile
+    is built from that slice, with every :class:`UserProfile` check, when it
+    is first read, and kept.
+    """
+
+    def __init__(
+        self, user_ids: list[int], bounds: list[int], movies: np.ndarray, categories: np.ndarray
+    ) -> None:
+        self.movies = movies
+        self.categories = categories
+        self._rows = dict(zip(user_ids, zip(bounds, bounds[1:])))
+        self._built: dict[int, UserProfile] = {}
+
+    def __getitem__(self, user_id: int) -> UserProfile:
+        profile = self._built.get(user_id)
+        if profile is None:
+            lo, hi = self._rows[user_id]
+            ratings = dict(zip(self.movies[lo:hi].tolist(), self.categories[lo:hi].tolist()))
+            profile = self._built[user_id] = UserProfile(int(user_id), ratings)
+        return profile
+
+    def __contains__(self, user_id: object) -> bool:
+        return user_id in self._rows
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """A collection of user profiles keyed by user id."""
+    """A collection of user profiles keyed by user id.
 
-    users: dict[int, UserProfile]
+    ``users`` is read-only: a plain dict for generated and subset data, and
+    :class:`RatingColumns` for a loaded file, whose profiles are built when
+    first read.
+    """
+
+    users: Mapping[int, UserProfile]
 
     @classmethod
     def from_profiles(cls, profiles: Iterable[UserProfile]) -> "Dataset":
@@ -158,9 +199,19 @@ class Dataset:
 
     @cached_property
     def movie_array(self) -> np.ndarray:
-        """All rated movie ids, ascending (int64), derived from the profiles on first read."""
-        movies = set().union(*(p.categories for p in self.users.values()))
-        array = np.array(sorted(movies), dtype=np.int64)
+        """All rated movie ids, ascending (int64), derived on first read.
+
+        From the movie column of loaded ratings, so that no profile is built;
+        otherwise from the profiles' keys.
+        """
+        if isinstance(self.users, RatingColumns):
+            # deduplicated by hand: np.unique would import numpy.ma, which
+            # adds 0.6 MB and its import time to every cold process
+            column = np.sort(self.users.movies)
+            movies = np.concatenate([column[:1], column[1:][column[1:] != column[:-1]]]).tolist()
+        else:
+            movies = sorted(set().union(*(p.categories for p in self.users.values())))
+        array = np.array(movies, dtype=np.int64)
         array.flags.writeable = False  # one array serves every reader
         return array
 

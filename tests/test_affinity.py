@@ -1,8 +1,10 @@
 import itertools
 import math
+import pickle
 import types
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,10 +15,12 @@ from immunorec import (
     AffinityKind,
     AffinityMeasure,
     Dataset,
+    IngestConfig,
     PoolAffinities,
     UserProfile,
     build_frequency_table,
     kendalls_tau,
+    load_ratings,
     pearson_baseline,
     tie_ignored_fraction,
     weighted_kappa,
@@ -491,6 +495,29 @@ def test_category_matrix_equals_cell_by_cell(pool, movies):
 
 
 class TestPoolAffinities:
+    def test_profiles_read_when_needed(self, tmp_path):
+        # a plain pool reads a profile when it builds that row; a precomputed
+        # one reads them all into a list, so pickling it (what a --jobs
+        # worker is sent) carries none of the loader's columns
+        path = tmp_path / "ratings.csv"
+        path.write_text(
+            "".join(f"{u},{m},{1 + (u * m) % 6}\n" for u in range(1, 6) for m in range(1, 9)),
+            encoding="utf-8",
+        )
+        dataset, _ = load_ratings(path, IngestConfig(min_ratings_per_user=1))
+        with mock.patch.object(
+            UserProfile, "__post_init__", autospec=True, side_effect=UserProfile.__post_init__
+        ) as check:
+            pool = PoolAffinities(dataset, AffinityMeasure())
+            assert check.call_count == 0
+            pool.rows(np.array([3, 1, 3]))
+            assert check.call_count == 2
+        assert pool.profiles[3] is dataset.users[4]
+        assert [p.user_id for p in pool.profiles] == [1, 2, 3, 4, 5]
+        stored = PoolAffinities.precomputed(dataset, AffinityMeasure())
+        assert type(stored.profiles) is list
+        assert b"RatingColumns" not in pickle.dumps(stored)
+
     @given(
         pool=st.lists(_ratings(12, min_size=1), min_size=1, max_size=8),
         rows=st.lists(st.integers(0, 7), min_size=1, max_size=8),

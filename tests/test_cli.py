@@ -1,11 +1,12 @@
 import json
 import logging
+from unittest import mock
 
 import pytest
 
 from immunorec import cli
 from immunorec.cli import _print_report, build_parser, main
-from immunorec.domain import Dataset
+from immunorec.domain import Dataset, UserProfile
 from immunorec.evaluation import AccuracyRow, ExperimentReport, TieRow
 from immunorec.immune_network import ImmuneParams
 
@@ -242,14 +243,26 @@ class TestRecommend:
             "pool shortfall: wanted 100 antibodies, only 29 candidates"
         ]
 
-    def test_empty_pool_exits_three(self, tmp_path, capsys):
+    def test_empty_pool_exits_two(self, tmp_path, capsys):
+        # a dataset whose only user is the target: a data condition
         path = tmp_path / "single.csv"
-        path.write_text("".join(f"1,{m},4\n" for m in range(1, 6)), encoding="utf-8")
+        path.write_text("".join(f"1,{m},4\n" for m in range(1, 30)), encoding="utf-8")
+        assert main(["recommend", str(path), "--user", "1", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("data error: no eligible candidate antibodies in the pool\n")
+
+    def test_default_request_builds_only_the_profiles_it_reads(self, tmp_path):
+        # the antigen and the initial draw; no default run on this set prunes
+        path = tmp_path / "pool.csv"
         assert main([
-            "recommend", str(path), "--min-ratings", "1", "--user", "1",
-            "--count", "3", "--seed", "7",
-        ]) == 3
-        assert "runtime error" in capsys.readouterr().err
+            "gen", "--users", "2000", "--movies", "300", "--seed", "42", "-o", str(path),
+        ]) == 0
+        population = ImmuneParams().population_size
+        with mock.patch.object(
+            UserProfile, "__post_init__", autospec=True, side_effect=UserProfile.__post_init__
+        ) as check:
+            assert main(["recommend", str(path), "--user", "1234", "--seed", "5"]) == 0
+        assert 0 < check.call_count <= population + 1
 
     def test_golden_standard_fixture_list(self, tmp_path):
         # pinned from the first verified run on the standard dataset
@@ -384,17 +397,17 @@ class TestEval:
         assert "fallback trials 2" in capsys.readouterr().out
 
     @pytest.mark.parametrize("split", [[]], ids=["antigen-only"])
-    def test_accuracy_empty_pool_exits_three(self, tmp_path, capsys, split):
-        # a pool whose only user is the antigen; a split that leaves no pool
-        # user is a config error (test_empty_split_side_exits_one)
+    def test_accuracy_empty_pool_exits_two(self, tmp_path, capsys, split):
+        # a pool whose only user is the antigen is a data condition; a split
+        # that leaves no pool user is a config error
+        # (test_empty_split_side_exits_one)
         path = tmp_path / "single.csv"
-        path.write_text("".join(f"1,{m},4\n" for m in range(1, 11)), encoding="utf-8")
+        path.write_text("".join(f"1,{m},4\n" for m in range(1, 30)), encoding="utf-8")
         assert main([
-            "eval", "accuracy", str(path), "--min-ratings", "1",
-            "--users", "1", "--trials", "5", "--seed", "1", *split,
-        ]) == 3
+            "eval", "accuracy", str(path), "--users", "1", "--trials", "3", "--seed", "1", *split,
+        ]) == 2
         err = capsys.readouterr().err
-        assert err.endswith("runtime error: no eligible candidate antibodies in the pool\n")
+        assert err.endswith("data error: no eligible candidate antibodies in the pool\n")
 
     @pytest.mark.parametrize(
         "command, split, sizes",

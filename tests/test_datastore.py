@@ -201,6 +201,44 @@ class TestColumnarIngest:
         assert report.users_kept == len(standard_dataset)
 
 
+class TestRatingColumns:
+    def _counted_checks(self):
+        return mock.patch.object(
+            UserProfile, "__post_init__", autospec=True, side_effect=UserProfile.__post_init__
+        )
+
+    @pytest.mark.parametrize("min_ratings", [1, 45])
+    def test_load_builds_no_profile(self, tmp_path, standard_dataset, min_ratings):
+        path = tmp_path / "standard.csv"
+        save_ratings(standard_dataset, path)
+        full = Dataset.from_profiles(p for p in standard_dataset if len(p) >= min_ratings)
+        with self._counted_checks() as check:
+            dataset, report = load_ratings(path, IngestConfig(min_ratings_per_user=min_ratings))
+            movies = dataset.movie_array
+        assert check.call_count == 0
+        assert report == datastore.LoadReport(
+            users_kept=len(full),
+            users_dropped=len(standard_dataset) - len(full),
+            movies=len(full.movie_array),
+        )
+        assert movies.tolist() == full.movie_array.tolist()
+        assert dataset.user_ids == full.user_ids
+        assert full.user_ids[0] in dataset and 0 not in dataset
+        assert check.call_count == 0
+
+    def test_profile_built_checked_and_kept_on_first_read(self, tmp_path):
+        path = _write(tmp_path, "2,9,4\n1,7,2\n2,3,6\n")
+        dataset, _ = load_ratings(path, LOOSE)
+        with self._counted_checks() as check:
+            first = dataset.users[2]
+            assert dataset.users[2] is first
+        assert check.call_count == 1
+        assert list(first.categories.items()) == [(9, 4), (3, 6)]  # file order
+        assert list(dataset.users) == [1, 2]
+        with pytest.raises(KeyError):
+            dataset.users[3]
+
+
 class TestSaveRatings:
     def test_round_trip_identity(self, tmp_path):
         original = Dataset.from_profiles(

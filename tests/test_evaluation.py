@@ -10,10 +10,13 @@ from immunorec import (
     Dataset,
     ExperimentReport,
     ImmuneParams,
+    IngestConfig,
     PoolAffinities,
     UserProfile,
     accuracy_experiment,
+    load_ratings,
     paired_comparison,
+    save_ratings,
     ties_experiment,
     user_accuracy,
 )
@@ -123,6 +126,26 @@ class TestUserAccuracy:
         row = user_accuracy(antigen, PoolAffinities(pool, measure), params, trials=2, seed=0)
         assert row.fallback_trials == 2
         assert row.accuracy == 0.0
+
+    def test_extinct_fallback_on_demand_over_loaded_ratings(self, tmp_path):
+        # the fallback reads every pool profile, none of which the run built
+        antigen = UserProfile(1, {m: 6 for m in range(1, 6)})
+        others = [
+            UserProfile(uid, {10 * uid + k: 1 + (uid + k) % 6 for k in range(3)})
+            for uid in range(2, 5)
+        ]
+        built = Dataset.from_profiles([antigen, *others])
+        path = tmp_path / "ratings.csv"
+        save_ratings(built, path)
+        loaded, _ = load_ratings(path, IngestConfig(min_ratings_per_user=1))
+        params = ImmuneParams(population_size=3, max_iterations=60, stability_window=100)
+        measure = AffinityMeasure(AffinityKind.WEIGHTED_KAPPA, min_overlap=1)
+        rows = [
+            user_accuracy(antigen, PoolAffinities(pool, measure), params, trials=2, seed=0)
+            for pool in (built, loaded)
+        ]
+        assert rows[1].fallback_trials == 2
+        assert rows[1] == rows[0]
 
 
 class TestAccuracyExperiment:
