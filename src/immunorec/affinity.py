@@ -393,6 +393,25 @@ def _affinity_values(
     return values, short
 
 
+def _count_dtype(bound: int) -> type[np.signedinteger]:
+    """The narrowest signed integer type that holds every integer in [-bound, bound]."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+
+
+def _terms_dtypes(kind: AffinityKind, longest: int) -> tuple[type, type]:
+    """Exact (numerator, overlap) storage for pairs that share at most ``longest`` movies.
+
+    A Weighted Kappa credit reaches ``5 n`` and a Kendall's Tau ``|2(C - D)|``
+    ``n (n - 1)``; Pearson's r is no integer and stays float64.
+    """
+    bounds = {
+        AffinityKind.WEIGHTED_KAPPA: (NUM_CATEGORIES - 1) * longest,
+        AffinityKind.KENDALLS_TAU: longest * (longest - 1),
+    }
+    numerator = _count_dtype(bounds[kind]) if kind in bounds else np.float64
+    return numerator, _count_dtype(longest)
+
+
 def _usable(values: np.ndarray, short: np.ndarray, remap_negative: bool) -> np.ndarray:
     """The float64 numbers the immune network consumes: neutral 0 where the
     overlap is short, and ``(a + 1) / 2`` elsewhere when ``remap_negative``."""

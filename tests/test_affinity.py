@@ -30,6 +30,7 @@ from immunorec.affinity import (
     PearsonResult,
     _exact_dtype,
     _tau_form_dtype,
+    _terms_dtypes,
     _usable,
     affinity,
     category_affinity,
@@ -713,8 +714,43 @@ class TestPoolAffinities:
         assert pool.usable.shape == (users, users)
 
 
+@pytest.mark.parametrize(
+    "kind, longest, dtype",
+    [
+        # a WK credit reaches 5 n
+        (AffinityKind.WEIGHTED_KAPPA, 25, np.int8),
+        (AffinityKind.WEIGHTED_KAPPA, 26, np.int16),
+        (AffinityKind.WEIGHTED_KAPPA, 6553, np.int16),
+        (AffinityKind.WEIGHTED_KAPPA, 6554, np.int32),
+        (AffinityKind.WEIGHTED_KAPPA, 429_496_729, np.int32),
+        (AffinityKind.WEIGHTED_KAPPA, 429_496_730, np.int64),
+        # a KT |2(C - D)| reaches n (n - 1)
+        (AffinityKind.KENDALLS_TAU, 11, np.int8),
+        (AffinityKind.KENDALLS_TAU, 12, np.int16),
+        (AffinityKind.KENDALLS_TAU, 181, np.int16),
+        (AffinityKind.KENDALLS_TAU, 182, np.int32),
+        (AffinityKind.KENDALLS_TAU, 46_341, np.int32),
+        (AffinityKind.KENDALLS_TAU, 46_342, np.int64),
+        # Pearson's r is no integer
+        (AffinityKind.PEARSON, 3, np.float64),
+    ],
+)
+def test_numerator_dtype_boundaries(kind, longest, dtype):
+    assert _terms_dtypes(kind, longest)[0] is dtype
+
+
 @pytest.mark.parametrize("longest, dtype", [(2896, np.float32), (2897, np.float64)])
 def test_tau_form_dtype_boundary(longest, dtype):
     # the tau form's partial sums stay within longest**2 of 0; float32 holds
     # every integer below 2**24, and 2 * 2896**2 < 2**24 <= 2 * 2897**2
     assert _tau_form_dtype(longest) is dtype
+
+
+@pytest.mark.parametrize(
+    "longest, dtype",
+    [(127, np.int8), (128, np.int16), (32_767, np.int16), (32_768, np.int32),
+     (2**31 - 1, np.int32), (2**31, np.int64)],
+)
+def test_overlap_dtype_boundaries(longest, dtype):
+    for kind in AffinityKind:
+        assert _terms_dtypes(kind, longest)[1] is dtype
