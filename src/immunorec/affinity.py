@@ -265,19 +265,9 @@ _PER_MOVIE = {
 }
 
 
-def _exact_dtype(kind: AffinityKind, movies: int) -> type[np.floating]:
-    """float32 while a block kernel's integer sums stay below 2**24, else float64."""
-    return np.float32 if _PER_MOVIE[kind] * movies < 2**24 else np.float64
-
-
-def _tau_form_dtype(longest: int) -> type[np.floating]:
-    """float32 while the tau form's integers stay below 2**24, else float64.
-
-    For pairs that share at most ``longest`` movies every partial sum of
-    ``f^T S f + f^T f`` lies within ``longest**2`` of 0, and ``2 longest**2``
-    bounds it with room to spare.
-    """
-    return np.float32 if 2 * longest**2 < 2**24 else np.float64
+def _exact_dtype(bound: int) -> type[np.floating]:
+    """float32 while ``bound``, a kernel's largest integer, stays below 2**24; else float64."""
+    return np.float32 if bound < 2**24 else np.float64
 
 
 def _onehot(block: np.ndarray, dtype: type[np.floating]) -> np.ndarray:
@@ -299,13 +289,14 @@ def _tau_terms(
     """Kendall's Tau (``2(C - D)``, overlap) of every pair of two :func:`_onehot` blocks.
 
     One product gives every pair's 6x6 table f, and ``2(C - D) = f^T S f +
-    f^T f - n`` with ``S`` = ``_TAU_FORM``. The form runs in
-    :func:`_tau_form_dtype` of ``longest``, the most movies any pair shares,
-    so every count is exact.
+    f^T f - n`` with ``S`` = ``_TAU_FORM``. For pairs that share at most
+    ``longest`` movies every partial sum of the form lies within
+    ``longest**2`` of 0, so it runs in :func:`_exact_dtype` of ``2 longest**2``
+    and every count is exact.
     """
     g = NUM_CATEGORIES
     rows_a, rows_b = len(onehot_a) // g, len(onehot_b) // g
-    form = _tau_form_dtype(longest)
+    form = _exact_dtype(2 * longest**2)
     products = (onehot_a @ onehot_b.T).reshape(rows_a, g, rows_b, g)
     tables = products.swapaxes(1, 2).reshape(rows_a, rows_b, g * g).astype(form, copy=False)
     overlap = tables.sum(axis=2)
@@ -344,7 +335,7 @@ def _affinity_terms(
     """
     rated = (a > 0).any(axis=0)  # movies no row of ``a`` rated count for no pair
     a, b = a[:, rated], b[:, rated]
-    exact = _exact_dtype(kind, a.shape[1])
+    exact = _exact_dtype(_PER_MOVIE[kind] * a.shape[1])
     if kind is AffinityKind.WEIGHTED_KAPPA:
         lookup = _CREDIT_LOOKUP.astype(exact)
         credit = sum(
@@ -496,7 +487,7 @@ class PoolAffinities:
         if tau:
             g = NUM_CATEGORIES
             longest = int((categories > 0).sum(axis=1).max(initial=0))
-            onehot = _onehot(categories, _exact_dtype(measure.kind, movies))
+            onehot = _onehot(categories, _exact_dtype(_PER_MOVIE[measure.kind] * movies))
         for start in range(0, n, _POOL_CHUNK):
             stop = start + _POOL_CHUNK
             if tau:

@@ -44,14 +44,9 @@ from .datastore import (
 from .domain import Dataset, common_categories
 from .errors import (
     ConfigError,
-    EmptyDatasetError,
-    EmptyPoolError,
+    DataError,
     ImmunorecError,
-    InsufficientAntigensError,
     InsufficientOverlapError,
-    InsufficientRatingsError,
-    ParseError,
-    SampleMismatchError,
     UnknownUserError,
 )
 from .evaluation import accuracy_experiment, paired_comparison, ties_experiment
@@ -62,19 +57,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
-
-_DATA_ERRORS = (
-    ParseError,
-    EmptyDatasetError,
-    EmptyPoolError,
-    UnknownUserError,
-    InsufficientAntigensError,
-    InsufficientRatingsError,
-    SampleMismatchError,
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -552,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"immunorec: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DATA_ERRORS as exc:
+    except (DataError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"immunorec: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ImmunorecError as exc:

@@ -149,6 +149,8 @@ def _parse_lines(path: Path, fmt: FileFormat) -> Columns:
                 for column, value in enumerate(ids, start=1):
                     if value < 1:
                         raise ParseError(lineno, column, f"ids must be positive in {row!r}")
+                    if value >= 2**63:  # held as int64
+                        raise ParseError(lineno, column, f"ids must be below 2**63 in {row!r}")
                 user_id, movie_id = ids
                 category = _parse_category(fields[2], fmt, lineno)
                 if ids in keys:
@@ -164,8 +166,7 @@ def _parse_lines(path: Path, fmt: FileFormat) -> Columns:
             if bad := [ord(ch) - 0xDC00 for ch in text if "\udc80" <= ch <= "\udcff"]:
                 raise ParseError(lineno, column, f"byte 0x{bad[0]:02x} is not UTF-8") from None
         raise
-    # ids stay exact: numpy takes int64 where they fit, a wider or object dtype beyond
-    return np.array(users), np.array(movies), np.array(categories, dtype=np.int8)
+    return np.array(users, np.int64), np.array(movies, np.int64), np.array(categories, np.int8)
 
 
 def load_ratings(path: str | Path, config: IngestConfig) -> tuple[Dataset, LoadReport]:
@@ -250,7 +251,8 @@ def partition(
     With ``pool_id_threshold`` set, ids above the threshold form the pool and
     the rest the antigens. Otherwise a seeded shuffle sends ``split_fraction``
     (strictly between 0 and 1) of the users to the pool; ``split_seed`` is
-    then mandatory so the split is reproducible.
+    then mandatory so the split is reproducible. Either side may be empty;
+    the caller decides whether that is an error.
     """
     ids = np.array(dataset.user_ids, dtype=np.int64)
     if pool_id_threshold is not None:
@@ -266,13 +268,6 @@ def partition(
         k = int(round(split_fraction * len(ids)))
         pool_ids = sorted(int(u) for u in shuffled[:k])
         antigen_ids = sorted(int(u) for u in shuffled[k:])
-
-    if not pool_ids or not antigen_ids:
-        log.warning(
-            "partition produced an empty side (pool=%d, antigens=%d)",
-            len(pool_ids),
-            len(antigen_ids),
-        )
     return dataset.subset(pool_ids), dataset.subset(antigen_ids)
 
 

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Everything derives from :class:`ImmunorecError` so callers (notably the CLI)
-can classify failures into usage, data, and runtime buckets.
+Everything derives from :class:`ImmunorecError`. A failure's class decides
+its bucket: :class:`ConfigError` is a usage mistake, a :class:`DataError` a
+fault in the input data, and every other class a runtime failure, so the CLI
+maps each to its exit code by class alone.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ class InvalidCategoryError(ImmunorecError, ValueError):
     """A category index lies outside 1..6."""
 
 
+class DataError(ImmunorecError):
+    """The input data cannot give the requested result (the CLI exits 2)."""
+
+
 class InsufficientOverlapError(ImmunorecError):
     """A pair of profiles has too few common movies for the requested measure."""
 
@@ -32,7 +38,7 @@ class InsufficientOverlapError(ImmunorecError):
         super().__init__(f"need at least {needed} common movies, found {found}")
 
 
-class EmptyPoolError(ImmunorecError):
+class EmptyPoolError(DataError):
     """No eligible candidate antibodies remain in the pool."""
 
 
@@ -40,7 +46,7 @@ class EmptyPopulationError(ImmunorecError):
     """An operation requires a non-empty antibody population."""
 
 
-class ParseError(ImmunorecError):
+class ParseError(DataError):
     """A ratings file failed validation. Carries the offending location."""
 
     def __init__(self, line: int, column: int, reason: str):
@@ -50,21 +56,21 @@ class ParseError(ImmunorecError):
         super().__init__(f"line {line}, column {column}: {reason}")
 
 
-class EmptyDatasetError(ImmunorecError):
+class EmptyDatasetError(DataError):
     """Loading or filtering produced a dataset with no users."""
 
 
-class InsufficientRatingsError(ImmunorecError):
+class InsufficientRatingsError(DataError):
     """A user has too few ratings for the requested number of hidden trials."""
 
 
-class InsufficientAntigensError(ImmunorecError):
+class InsufficientAntigensError(DataError):
     """Fewer eligible test users exist than the experiment asked for."""
 
 
-class SampleMismatchError(ImmunorecError):
+class SampleMismatchError(DataError):
     """Two reports do not cover the identical user sample / seed discipline."""
 
 
-class UnknownUserError(ImmunorecError):
+class UnknownUserError(DataError):
     """A user id is absent from the dataset."""

@@ -26,10 +26,10 @@ from immunorec import (
     weighted_kappa,
 )
 from immunorec.affinity import (
+    _PER_MOVIE,
     _POOL_CHUNK,
     PearsonResult,
     _exact_dtype,
-    _tau_form_dtype,
     _terms_dtypes,
     _usable,
     affinity,
@@ -466,12 +466,11 @@ class TestAffinityBlock:
     def test_exact_dtype_boundaries(self, kind, movies, dtype):
         # WK credit sums reach 5 per movie, KT table counts 1, Pearson's sums
         # of category products 36: float32 holds every integer below 2**24
-        assert _exact_dtype(kind, movies) is dtype
+        assert _exact_dtype(_PER_MOVIE[kind] * movies) is dtype
 
     @pytest.mark.parametrize("kind", list(AffinityKind))
     def test_float64_branch_equals_per_pair(self, kind, monkeypatch):
-        monkeypatch.setattr("immunorec.affinity._exact_dtype", lambda kind, movies: np.float64)
-        monkeypatch.setattr("immunorec.affinity._tau_form_dtype", lambda longest: np.float64)
+        monkeypatch.setattr("immunorec.affinity._exact_dtype", lambda bound: np.float64)
         profiles = [_random_pair(seed, min_common=2)[i] for seed in range(8) for i in (0, 1)]
         measure = AffinityMeasure(kind)
         values, short = _kernel(measure, profiles, profiles)
@@ -743,7 +742,7 @@ def test_numerator_dtype_boundaries(kind, longest, dtype):
 def test_tau_form_dtype_boundary(longest, dtype):
     # the tau form's partial sums stay within longest**2 of 0; float32 holds
     # every integer below 2**24, and 2 * 2896**2 < 2**24 <= 2 * 2897**2
-    assert _tau_form_dtype(longest) is dtype
+    assert _exact_dtype(2 * longest**2) is dtype
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from immunorec import cli
+from immunorec import cli, errors
 from immunorec.cli import _print_report, build_parser, main
 from immunorec.domain import Dataset, UserProfile
 from immunorec.evaluation import AccuracyRow, ExperimentReport, TieRow
@@ -146,6 +146,26 @@ class TestAffinity:
 
 
 class TestRecommend:
+    @pytest.mark.parametrize("value", [2**63 - 1, 2**63])
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_id_at_int64_limit(self, reference_file, capsys, column, value):
+        # ids are held as int64: the largest loads and recommends, one more is a parse error
+        row = f"{value},153,4" if column == 1 else f"3,{value},4"
+        with reference_file.open("a", encoding="utf-8") as handle:
+            handle.write(row + "\n")
+        code = main([
+            "recommend", str(reference_file), "--min-ratings", "1", "--user", "1", "--seed", "7"
+        ])
+        err = capsys.readouterr().err
+        if value < 2**63:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 2
+            assert err == (
+                f"immunorec: data error: line 19, column {column}: "
+                f"ids must be below 2**63 in {row!r}\n"
+            )
+
     def test_deterministic_output(self, data_file, tmp_path, capsys):
         args = [
             "recommend", str(data_file), "--min-ratings", "1", "--user", "1",
@@ -519,6 +539,62 @@ def test_parser_built_once_per_process(data_file, capsys):
     assert build_parser.cache_info().misses == 1
 
 
+#: An instance of every exception class of ``immunorec.errors`` and of the
+#: file-access errors, with the exit code ``main`` reports it with. A class
+#: added to ``errors`` fails ``test_every_error_class_has_an_exit_code`` until
+#: it is placed here.
+_EXIT_CODES = [
+    (errors.ImmunorecError("boom"), 3),
+    (errors.ConfigError("boom"), 1),
+    (errors.DataError("boom"), 2),
+    (errors.InvalidRatingError("boom"), 3),
+    (errors.InvalidCategoryError("boom"), 3),
+    (errors.InsufficientOverlapError(2, 1), 3),
+    (errors.EmptyPoolError("boom"), 2),
+    (errors.EmptyPopulationError("boom"), 3),
+    (errors.ParseError(4, 2, "boom"), 2),
+    (errors.EmptyDatasetError("boom"), 2),
+    (errors.InsufficientRatingsError("boom"), 2),
+    (errors.InsufficientAntigensError("boom"), 2),
+    (errors.SampleMismatchError("boom"), 2),
+    (errors.UnknownUserError("boom"), 2),
+    (FileNotFoundError(2, "No such file or directory", "absent.csv"), 2),
+    (IsADirectoryError(21, "Is a directory", "data"), 2),
+    (PermissionError(13, "Permission denied", "data.csv"), 2),
+]
+
+_EXIT_PREFIXES = {1: "config error", 2: "data error", 3: "runtime error"}
+
+
+def _main_raising(exc: Exception, monkeypatch) -> int:
+    """The exit code of ``main`` when its command raises ``exc``."""
+    parser = cli._Parser(prog="immunorec")
+    parser.set_defaults(func=mock.Mock(side_effect=exc))
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    return main([])
+
+
+def test_every_error_class_has_an_exit_code():
+    defined = {
+        value for value in vars(errors).values()
+        if isinstance(value, type) and value.__module__ == errors.__name__
+    }
+    assert defined - {type(exc) for exc, _ in _EXIT_CODES} == set()
+
+
+@pytest.mark.parametrize(
+    "exc, code", _EXIT_CODES, ids=[type(exc).__name__ for exc, _ in _EXIT_CODES]
+)
+def test_exit_code_follows_error_class(monkeypatch, capsys, exc, code):
+    assert _main_raising(exc, monkeypatch) == code
+    assert capsys.readouterr().err == f"immunorec: {_EXIT_PREFIXES[code]}: {exc}\n"
+
+
+def test_plain_value_error_is_a_runtime_error(monkeypatch, capsys):
+    assert _main_raising(ValueError("boom"), monkeypatch) == 3
+    assert capsys.readouterr().err == "immunorec: runtime error: ValueError: boom\n"
+
+
 def _run_cli_process(args: list[str], log: str):
     """Run the command in a child process that imports the package this test did."""
     import subprocess
@@ -570,3 +646,17 @@ def test_runaway_concentration_stderr_has_no_numpy_warnings(data_file):
     assert result.returncode == 3
     assert "concentrations stopped being finite" in result.stderr
     assert "RuntimeWarning" not in result.stderr
+
+
+def test_empty_split_side_reported_once(data_file):
+    # the split leaves every user on the test side: one config error, no warning before it
+    result = _run_cli_process(
+        ["eval", "accuracy", str(data_file), "--min-ratings", "1", "--users", "2",
+         "--pool-threshold", "1180591620717411303424", "--seed", "1"],
+        log="warn",
+    )
+    assert result.returncode == 1
+    assert result.stderr == (
+        "immunorec: config error: --pool-threshold 1180591620717411303424 leaves a side "
+        "empty: 0 pool users, 30 test users\n"
+    )

@@ -1,4 +1,3 @@
-import logging
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -301,13 +300,11 @@ class TestPartition:
         assert pool.user_ids == [8, 9, 10]
         assert antigens.user_ids == list(range(1, 8))
 
-    def test_empty_side_warns(self, caplog):
+    def test_threshold_above_every_id_leaves_pool_empty(self):
         dataset = Dataset.from_profiles([UserProfile(5, {1: 3})])
-        with caplog.at_level(logging.WARNING, logger="immunorec.datastore"):
-            pool, antigens = partition(dataset, pool_id_threshold=100)
+        pool, antigens = partition(dataset, pool_id_threshold=100)
         assert len(pool) == 0
         assert antigens.user_ids == [5]
-        assert any("empty side" in record.message for record in caplog.records)
 
 
 class TestGenerateSynthetic:
