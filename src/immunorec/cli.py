@@ -300,9 +300,11 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     status = "converged" if final.converged else "did not converge"
     print(
         f"user {args.user}: {status} after {final.iterations_used} iterations, "
-        f"{len(final.members)} antibodies"
+        f"{len(final.rows)} antibodies"
     )
-    if not recommendations:
+    if not (final.weights > 0).any():
+        print("no recommendations: no antibody has a positive weight")
+    elif not recommendations:
         print("no recommendations: the user already rated every candidate movie")
     for rank, entry in enumerate(recommendations, start=1):
         print(

@@ -167,7 +167,7 @@ def user_accuracy(
             _trial_seed(seed, antigen.user_id, trial_index),
             antigen_affinity=affinity,
         )
-        if final.members:
+        if len(final.rows):
             prediction = predict_rating(final, movie_id)
             value = prediction.value
             fallbacks += int(prediction.fallback)

@@ -113,13 +113,21 @@ class AisState:
         return self.pool.user_ids[self.members].tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinalPopulation:
-    """Converged (or timed-out) neighbourhood with prediction weights."""
+    """Converged (or timed-out) neighbourhood: member pool rows in admission order, weighted."""
 
-    members: tuple[tuple[UserProfile, float], ...]
+    pool: PoolAffinities
+    rows: np.ndarray
+    weights: np.ndarray
     converged: bool
     iterations_used: int
+
+    @property
+    def members(self) -> tuple[tuple[UserProfile, float], ...]:
+        """``(profile, weight)`` per member, in admission order, built on each read."""
+        profiles = self.pool.profiles
+        return tuple((profiles[r], w) for r, w in zip(self.rows.tolist(), self.weights.tolist()))
 
 
 def _draw_and_admit(
@@ -327,7 +335,4 @@ def run_to_convergence(
         )
     if len(state.members) == 0:
         log.warning("population went extinct (pool exhausted and all pruned)")
-    members = tuple(
-        (pool.profiles[i], float(x)) for i, x in zip(state.members.tolist(), state.concentrations)
-    )
-    return FinalPopulation(members=members, converged=converged, iterations_used=iterations)
+    return FinalPopulation(pool, state.members, state.concentrations, converged, iterations)

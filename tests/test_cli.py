@@ -248,6 +248,17 @@ class TestRecommend:
         ]) == 0
         assert "no recommendations" in capsys.readouterr().out
 
+    def test_no_positive_weight_named(self, data_file, capsys):
+        # without stimulation and with a death rate of 1 every concentration
+        # ends at 0, though the user rated only 25-30 of the 40 movies
+        assert main([
+            "recommend", str(data_file), "--min-ratings", "1", "--user", "1", "--seed", "7",
+            "--k1", "0", "--k3", "1", "--threshold", "0",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "no recommendations: no antibody has a positive weight\n" in out
+        assert "already rated every candidate movie" not in out
+
     def test_unknown_user_exits_two(self, data_file):
         assert main([
             "recommend", str(data_file), "--min-ratings", "1", "--user", "4999",

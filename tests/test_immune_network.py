@@ -594,6 +594,12 @@ class TestRunToConvergence:
         assert len(ids) == 100
         assert ids[:10] == GOLDEN_FIRST_MEMBERS
         assert digest == GOLDEN_MEMBER_SHA256
+        # the (profile, weight) view that readers of ``members`` rely on
+        assert final.rows.dtype == np.int64 and final.weights.dtype == np.float64
+        assert [(p.user_id, w) for p, w in final.members] == list(
+            zip(pool.user_ids[final.rows].tolist(), final.weights.tolist())
+        )
+        assert all(p is pool.profiles[r] for (p, _), r in zip(final.members, final.rows.tolist()))
 
     def test_decay_property_with_zero_affinities(self):
         # zero-overlap pool: every affinity is neutral, so concentrations
@@ -606,6 +612,7 @@ class TestRunToConvergence:
         final = run_to_convergence(antigen, PoolAffinities(pool, WK), params, seed=1)
         # after 29 steps 0.9^t < 0.05: everyone pruned, pool empty, population extinct
         assert len(final.members) == 0
+        assert len(final.rows) == 0 and final.members == ()
         assert not final.converged
 
     def test_huge_finite_concentrations_pass(self):

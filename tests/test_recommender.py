@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from immunorec import (
     AffinityKind,
     AffinityMeasure,
+    Dataset,
     FinalPopulation,
     ImmuneParams,
     PoolAffinities,
@@ -18,12 +19,44 @@ from immunorec import (
 )
 from immunorec.errors import EmptyPopulationError
 from immunorec.domain import mean_rating
+from immunorec.recommender import Prediction
 
 from conftest import rated
 
 
-def _population(*members: tuple[UserProfile, float]) -> FinalPopulation:
-    return FinalPopulation(members=tuple(members), converged=True, iterations_used=10)
+def _population(
+    *members: tuple[UserProfile, float], outsiders: tuple[UserProfile, ...] = ()
+) -> FinalPopulation:
+    """The members over a pool of their own profiles and ``outsiders``, in the given order."""
+    profiles = [profile for profile, _ in members]
+    dataset = Dataset.from_profiles(profiles + list(outsiders))
+    pool = PoolAffinities(dataset, AffinityMeasure(AffinityKind.WEIGHTED_KAPPA))
+    rows = np.searchsorted(pool.user_ids, np.array([p.user_id for p in profiles], dtype=np.int64))
+    weights = np.array([weight for _, weight in members], dtype=np.float64)
+    return FinalPopulation(pool, rows, weights, converged=True, iterations_used=10)
+
+
+def _loop_prediction(members: list[tuple[UserProfile, float]], movie_id: int) -> Prediction:
+    """The weighted mean added up rater by rater in member order, as a plain loop."""
+    weight_sum = weighted = 0.0
+    support = 0
+    for profile, weight in members:
+        if weight > 0 and movie_id in profile:
+            weight_sum += weight
+            weighted += weight * profile.rating(movie_id)
+            support += 1
+    if support == 0:
+        return Prediction(movie_id, mean_rating(p for p, _ in members), 0, fallback=True)
+    return Prediction(movie_id, weighted / weight_sum, support)
+
+
+def _bits(prediction: Prediction) -> tuple:
+    return (
+        prediction.movie_id,
+        struct.pack("<d", prediction.value),
+        prediction.support,
+        prediction.fallback,
+    )
 
 
 class TestPredictRating:
@@ -202,6 +235,60 @@ class TestRecommendTopN:
         actual = [(entry.movie_id, entry.value) for entry in result]
         assert actual == expected
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.dictionaries(
+                    st.integers(min_value=1, max_value=8),
+                    st.integers(min_value=1, max_value=6),
+                    min_size=1,
+                    max_size=8,
+                ),
+                st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=50.0)),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        st.integers(min_value=0, max_value=10),
+        st.booleans(),
+        st.dictionaries(
+            st.integers(min_value=1, max_value=11),
+            st.integers(min_value=1, max_value=6),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_array_sums_equal_a_plain_loop_bit_for_bit(
+        self, drawn, silent_at, all_zero, antigen_ratings, count
+    ):
+        members = [
+            (UserProfile(i + 1, ratings), 0.0 if all_zero else weight)
+            for i, (ratings, weight) in enumerate(drawn)
+        ]
+        # movie 10 is rated only by a zero-weight member, movie 9 only by a
+        # pool user outside the population, and movie 11 by no pool user
+        members.insert(silent_at, (UserProfile(100, {10: 6, 1: 2}), 0.0))
+        population = _population(*members, outsiders=(UserProfile(200, {9: 4, 2: 3}),))
+        assert population.pool.movies.tolist()[-2:] == [9, 10]
+
+        for movie_id in range(1, 12):
+            prediction = predict_rating(population, movie_id)
+            assert _bits(prediction) == _bits(_loop_prediction(members, movie_id))
+            if movie_id >= 9 or all_zero:
+                assert prediction.fallback
+                assert prediction.value == mean_rating(p for p, _ in members)
+
+        antigen = UserProfile(99, antigen_ratings)
+        rated = {m for profile, weight in members if weight > 0 for m in profile.categories}
+        expected = sorted(
+            (_loop_prediction(members, m) for m in rated - set(antigen.categories)),
+            key=lambda p: (-p.value, p.movie_id),
+        )[:count]
+        result = recommend_top_n(population, antigen, count)
+        assert [_bits(p) for p in result] == [_bits(p) for p in expected]
+        assert not all_zero or result == ()
+
     def test_empty_population_raises(self):
         with pytest.raises(EmptyPopulationError):
             recommend_top_n(_population(), UserProfile(9, {1: 3}), 3)
@@ -223,11 +310,7 @@ class TestRecommendTopN:
             )
             # a zero-weight member that alone rates an unseen movie adds no candidate
             silent = UserProfile(10**6, {**final.members[0][0].categories, 10**6: 6})
-            population = FinalPopulation(
-                members=final.members + ((silent, 0.0),),
-                converged=final.converged,
-                iterations_used=final.iterations_used,
-            )
+            population = _population(*final.members, (silent, 0.0))
 
             result = recommend_top_n(population, antigen, 10**6)
 
