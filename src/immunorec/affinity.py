@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .domain import NUM_CATEGORIES, Dataset, UserProfile, common_categories
+from .domain import NUM_CATEGORIES, Dataset, UserProfile, common_categories, flatten
 from .errors import ConfigError, InsufficientOverlapError
 
 #: Integer agreement credit per cell: 5 down to 0 as categories drift apart.
@@ -243,11 +242,7 @@ def category_matrix(profiles: list[UserProfile], movies: np.ndarray) -> np.ndarr
     Ratings of movies outside ``movies`` are left out: they share nothing
     with any profile whose movies all lie in it.
     """
-    counts = [len(p) for p in profiles]
-    ids = np.fromiter(chain.from_iterable(p.categories for p in profiles), np.int64, sum(counts))
-    categories = np.fromiter(
-        chain.from_iterable(p.categories.values() for p in profiles), np.int8, len(ids)
-    )
+    counts, ids, categories = flatten(profiles)
     owner = np.repeat(np.arange(len(profiles)), counts)
     columns = np.searchsorted(movies, ids)
     known = np.append(movies, 0)[columns] == ids  # movie ids are positive
@@ -425,9 +420,6 @@ class _Profiles(Sequence[UserProfile]):
         return len(self._ids)
 
 
-#: Pool rows -> one antigen's usable affinities with them, one per row.
-AntigenAffinity = Callable[[np.ndarray], np.ndarray]
-
 #: Rows per kernel call while a pool's store is built. Larger chunks run
 #: faster but raise the peak memory of the kernel's temporaries.
 _POOL_CHUNK = 5
@@ -436,13 +428,13 @@ _POOL_CHUNK = 5
 class PoolAffinities:
     """The usable affinities among one pool's users, addressed by pool row.
 
-    Row ``i`` is the ``i``-th user of ``dataset.user_ids``. :meth:`block`
-    gives, for any rows x cols, exactly the :func:`_usable` values of
-    :func:`category_affinity` on those users' category rows, remapped when
+    Row ``i`` is the ``i``-th user of ``dataset.user_ids``, and
+    ``categories[i]`` its int8 category row over ``movies``, all scattered
+    at once from the dataset's rating columns, so no profile is read.
+    :meth:`block` gives, for any rows x cols, exactly the :func:`_usable`
+    values of :func:`category_affinity` on those rows, remapped when
     ``remap_negative`` is set. A plain instance runs the kernel on every
-    call and reads each user's profile, and builds its category row, when it
-    is first needed, so it costs nothing up front; :meth:`precomputed` reads
-    every profile, runs the kernel once over every pair of the pool and
+    call; :meth:`precomputed` runs it once over every pair of the pool and
     keeps the n x n float64 usable values, so that a block is one ``take``.
     ``profiles[i]`` is row ``i``'s profile either way.
     """
@@ -457,17 +449,18 @@ class PoolAffinities:
         self.user_ids = np.array(ids, dtype=np.int64)
         # each profile is read from the dataset when first asked for
         self.profiles: Sequence[UserProfile] = _Profiles(dataset.users, ids)
-        # the category rows built so far, and each pool row's place among them
-        # (-1 until it is built)
-        self.categories = np.empty((0, len(self.movies)), dtype=np.int8)
-        self.slots = np.full(len(ids), -1)
+        counts, columns, categories = dataset.rating_columns
+        self.categories = np.zeros((len(ids), len(self.movies)), dtype=np.int8)
+        # each rating's flat index: its user's row offset plus its movie column
+        offsets = np.repeat(np.arange(len(ids)) * len(self.movies), counts)
+        self.categories.ravel()[offsets + columns] = categories
         self.usable: np.ndarray | None = None
 
     @classmethod
     def precomputed(
         cls, dataset: Dataset, measure: AffinityMeasure, remap_negative: bool = False
     ) -> PoolAffinities:
-        """Category rows and usable affinities of the whole pool, built once.
+        """Usable affinities of the whole pool, built once.
 
         The kernel runs on ``_POOL_CHUNK`` rows at a time against the rows
         from there on; each chunk's exact terms get the one float64 division
@@ -479,9 +472,8 @@ class PoolAffinities:
         pool = cls(dataset, measure, remap_negative)
         # a plain list, so the pool holds no reference to the dataset
         pool.profiles = list(pool.profiles)
-        categories = pool.categories = category_matrix(pool.profiles, pool.movies)
+        categories = pool.categories
         n, movies = categories.shape
-        pool.slots = np.arange(n)
         usable = np.empty((n, n))
         tau = measure.kind is AffinityKind.KENDALLS_TAU
         if tau:
@@ -500,56 +492,21 @@ class PoolAffinities:
         pool.usable = usable
         return pool
 
-    def rows(self, idx: np.ndarray) -> np.ndarray:
-        """The int8 category rows of pool rows ``idx`` over the pool's movies.
-
-        Rows not built yet are built in one :func:`category_matrix` call and
-        kept, so a plain pool builds each user's row at most once.
-        """
-        slots = self.slots[idx]
-        new = slots < 0
-        if new.any():
-            wanted = np.zeros(len(self.slots), dtype=bool)
-            wanted[idx[new]] = True
-            missing = np.flatnonzero(wanted)
-            self.slots[missing] = len(self.categories) + np.arange(len(missing))
-            built = category_matrix([self.profiles[i] for i in missing], self.movies)
-            self.categories = np.concatenate([self.categories, built])
-            slots = self.slots[idx]
-        return self.categories[slots]
-
     def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Usable affinities of every category row of ``a`` with every one of ``b``."""
         return _usable(*category_affinity(self.measure, a, b), self.remap_negative)
 
-    def antigen_affinities(self, antigens: list[UserProfile]) -> list[AntigenAffinity]:
-        """Per antigen, a function from pool rows to its usable affinities with them.
+    def antigen_affinities(self, antigens: list[UserProfile]) -> np.ndarray:
+        """Usable affinities of every antigen with every pool row: antigens x pool rows.
 
-        The values are those of :func:`category_affinity` on the antigen's
-        category row and those rows, made usable, bit for bit. A precomputed
-        pool runs the kernel once, for every antigen against every pool row,
-        and each function is one ``take`` from the result; each pair is
-        computed on its own, so a batch gives what one antigen at a time
-        would. A plain pool runs the kernel on each call.
+        One kernel call, on the antigens' category rows and ``categories``,
+        made usable, for either kind of pool. Each pair is computed on its
+        own, so a batch gives what one antigen at a time would.
         """
-        antigen_rows = category_matrix(antigens, self.movies)
-        if self.usable is None:
-
-            def lookup(i: int) -> AntigenAffinity:
-                row = antigen_rows[i : i + 1]
-                return lambda rows: self._kernel(row, self.rows(rows))[0]
-
-        else:
-            usable = self._kernel(antigen_rows, self.categories)
-
-            def lookup(i: int) -> AntigenAffinity:
-                return usable[i].take
-
-        return [lookup(i) for i in range(len(antigens))]
+        return self._kernel(category_matrix(antigens, self.movies), self.categories)
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Usable affinities of every pool row ``rows`` with every pool row ``cols``."""
         if self.usable is None:
-            categories = self.rows(np.concatenate([rows, cols]))
-            return self._kernel(categories[: len(rows)], categories[len(rows) :])
+            return self._kernel(self.categories[rows], self.categories[cols])
         return self.usable.take(rows[:, None] * len(self.usable) + cols)

@@ -295,14 +295,17 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     pool = PoolAffinities(dataset, measure, params.remap_negative)
     warn_shortfall(pool, [antigen.user_id], params)
     final = run_to_convergence(antigen, pool, params, args.seed)
-    recommendations = recommend_top_n(final, antigen, args.count)
+    extinct = len(final.rows) == 0
+    recommendations = () if extinct else recommend_top_n(final, antigen, args.count)
 
     status = "converged" if final.converged else "did not converge"
     print(
         f"user {args.user}: {status} after {final.iterations_used} iterations, "
         f"{len(final.rows)} antibodies"
     )
-    if not (final.weights > 0).any():
+    if extinct:
+        print("no recommendations: the population went extinct")
+    elif not (final.weights > 0).any():
         print("no recommendations: no antibody has a positive weight")
     elif not recommendations:
         print("no recommendations: the user already rated every candidate movie")

@@ -8,9 +8,10 @@ of the downstream arithmetic ever compares inexact floats.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -129,14 +130,27 @@ def common_categories(a: UserProfile, b: UserProfile) -> tuple[np.ndarray, np.nd
     return tuple(np.array(column, dtype=np.int64) for column in columns)
 
 
+def flatten(profiles: Sequence[UserProfile]) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Ratings per profile, then every rating's movie id (int64) and category (int8).
+
+    The ratings run profile by profile, each profile's in its own order.
+    """
+    counts = [len(p) for p in profiles]
+    ids = np.fromiter(chain.from_iterable(p.categories for p in profiles), np.int64, sum(counts))
+    categories = np.fromiter(
+        chain.from_iterable(p.categories.values() for p in profiles), np.int8, len(ids)
+    )
+    return counts, ids, categories
+
+
 class RatingColumns(Mapping[int, UserProfile]):
     """Loaded ratings as columns, read as a user id -> :class:`UserProfile` mapping.
 
     ``movies`` and ``categories`` hold every kept rating grouped by user in
     ascending user order, each user's ratings in file order; user
-    ``user_ids[i]`` owns rows ``bounds[i]:bounds[i + 1]``. A user's profile
-    is built from that slice, with every :class:`UserProfile` check, when it
-    is first read, and kept.
+    ``user_ids[i]`` owns rows ``bounds[i]:bounds[i + 1]``, ``counts[i]`` of
+    them. A user's profile is built from that slice, with every
+    :class:`UserProfile` check, when it is first read, and kept.
     """
 
     def __init__(
@@ -144,6 +158,7 @@ class RatingColumns(Mapping[int, UserProfile]):
     ) -> None:
         self.movies = movies
         self.categories = categories
+        self.counts = np.diff(bounds)
         self._rows = dict(zip(user_ids, zip(bounds, bounds[1:])))
         self._built: dict[int, UserProfile] = {}
 
@@ -198,22 +213,41 @@ class Dataset:
         return sorted(self.users)
 
     @cached_property
-    def movie_array(self) -> np.ndarray:
-        """All rated movie ids, ascending (int64), derived on first read.
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """All rated movie ids, ascending, and :attr:`rating_columns`, derived on first read.
 
-        From the movie column of loaded ratings, so that no profile is built;
-        otherwise from the profiles' keys.
+        One argsort of the movie ids gives both the ascending ids and each
+        rating's index into them. A loaded file's columns are read as they
+        are, so that no profile is built; a dict's profiles are flattened.
         """
         if isinstance(self.users, RatingColumns):
-            # deduplicated by hand: np.unique would import numpy.ma, which
-            # adds 0.6 MB and its import time to every cold process
-            column = np.sort(self.users.movies)
-            movies = np.concatenate([column[:1], column[1:][column[1:] != column[:-1]]]).tolist()
+            counts, ids, categories = self.users.counts, self.users.movies, self.users.categories
         else:
-            movies = sorted(set().union(*(p.categories for p in self.users.values())))
-        array = np.array(movies, dtype=np.int64)
-        array.flags.writeable = False  # one array serves every reader
-        return array
+            counts, ids, categories = flatten([self.users[u] for u in self.user_ids])
+        # deduplicated by hand: np.unique would import numpy.ma, which adds
+        # 0.6 MB and its import time to every cold process
+        order = np.argsort(ids)
+        ranked = ids[order]
+        first = np.ones(len(ranked), dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        columns = np.empty(len(ids), dtype=np.int64)
+        columns[order] = np.cumsum(first) - 1
+        movies = ranked[first].astype(np.int64)  # a loaded column may be int32
+        movies.flags.writeable = False  # one array serves every reader
+        return movies, np.asarray(counts, dtype=np.int64), columns, categories
+
+    @property
+    def movie_array(self) -> np.ndarray:
+        """All rated movie ids, ascending (int64)."""
+        return self._columns[0]
+
+    @property
+    def rating_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ratings per user, movie column, category) of every rating, in :attr:`user_ids` order.
+
+        A rating's movie column is its movie's index into :attr:`movie_array`.
+        """
+        return self._columns[1:]
 
     def subset(self, user_ids: Iterable[int]) -> "Dataset":
         """A new dataset restricted to the given user ids."""

@@ -151,7 +151,7 @@ def user_accuracy(
         )
     hidden_movies = select_trial_movies(antigen, trials, seed)
     variants = [antigen.without_movie(movie_id) for movie_id in hidden_movies]
-    # one kernel call for every trial's antigen when the pool is precomputed
+    # one kernel call: every trial's antigen against every pool row
     affinities = pool.antigen_affinities(variants)
 
     total_error = 0.0

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import AntigenAffinity, PoolAffinities
+from .affinity import PoolAffinities
 from .domain import UserProfile
 from .errors import ConfigError, EmptyPoolError, ImmunorecError
 
@@ -94,13 +94,13 @@ class AisState:
     antigen-affinity vector and the rows/columns of the pairwise matrix.
     ``pool_remaining`` holds the rows not drawn yet, ascending; a drawn row
     leaves it for good, so members and ``pool_remaining`` stay disjoint and
-    pruned rows are never redrawn. ``antigen`` maps pool rows to the
-    antigen's usable affinities with them, from
+    pruned rows are never redrawn. ``antigen`` holds the antigen's usable
+    affinity with every pool row, its row of
     :meth:`~immunorec.affinity.PoolAffinities.antigen_affinities`.
     """
 
     pool: PoolAffinities
-    antigen: AntigenAffinity
+    antigen: np.ndarray
     members: np.ndarray
     concentrations: np.ndarray
     antigen_affinities: np.ndarray
@@ -136,10 +136,10 @@ def _draw_and_admit(
     """Move ``count`` uniform draws from ``pool_remaining`` into the population.
 
     Newcomers join in ascending row (so user id) order at
-    ``initial_concentration``. Their antigen affinities and their member
-    block both come from the pool as the usable numbers the dynamics read,
-    one ``take`` each when the pool is precomputed; the vectors and the
-    affinity matrix grow once for the whole batch.
+    ``initial_concentration``. Their antigen affinities are read from
+    ``state.antigen`` and their member block comes from the pool, one
+    ``take`` when the pool is precomputed; the vectors and the affinity
+    matrix grow once for the whole batch.
     """
     drawn = np.zeros(len(state.pool_remaining), dtype=bool)
     drawn[rng.choice(len(drawn), size=count, replace=False)] = True
@@ -150,7 +150,7 @@ def _draw_and_admit(
     state.members = np.concatenate((state.members, newcomers))
     block = state.pool.block(newcomers, state.members)
     state.antigen_affinities = np.concatenate(
-        (state.antigen_affinities, state.antigen(newcomers))
+        (state.antigen_affinities, state.antigen[newcomers])
     )
     state.concentrations = np.concatenate(
         (state.concentrations, np.full(count, params.initial_concentration))
@@ -168,7 +168,7 @@ def init_population(
     params: ImmuneParams,
     seed: int | np.random.Generator,
     *,
-    antigen_affinity: AntigenAffinity | None = None,
+    antigen_affinity: np.ndarray | None = None,
 ) -> AisState:
     """Draw the initial antibody sample and compute all affinities.
 
@@ -176,8 +176,8 @@ def init_population(
     replacement with a seeded generator; the antigen's own user id is never
     eligible, and a shortfall is clamped without a word (see
     :func:`warn_shortfall`). Every antibody starts at
-    ``initial_concentration``. ``antigen_affinity`` is the antigen's function
-    from :meth:`~immunorec.affinity.PoolAffinities.antigen_affinities`, made
+    ``initial_concentration``. ``antigen_affinity`` is the antigen's row of
+    :meth:`~immunorec.affinity.PoolAffinities.antigen_affinities`, computed
     here when not given.
 
     Raises :class:`ConfigError` when the pool's ``remap_negative`` is not the
@@ -294,7 +294,7 @@ def run_to_convergence(
     params: ImmuneParams,
     seed: int,
     *,
-    antigen_affinity: AntigenAffinity | None = None,
+    antigen_affinity: np.ndarray | None = None,
 ) -> FinalPopulation:
     """Full selection loop: init, then step+prune until membership settles.
 

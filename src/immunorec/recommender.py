@@ -43,7 +43,7 @@ def _column_sums(population: FinalPopulation, columns: np.ndarray | slice) -> tu
     positive-weight raters one by one in member order.
     """
     weights = np.where(population.weights > 0, population.weights, 0.0)[:, None]
-    categories = population.pool.rows(population.rows)[:, columns]
+    categories = population.pool.categories[population.rows][:, columns]
     rated = (categories > 0) & (weights > 0)
     sums = np.cumsum([weights * rated, weights * _POINTS[categories]], axis=1)[:, -1]
     return *sums, rated.sum(axis=0)

@@ -496,9 +496,10 @@ def test_category_matrix_equals_cell_by_cell(pool, movies):
 
 class TestPoolAffinities:
     def test_profiles_read_when_needed(self, tmp_path):
-        # a plain pool reads a profile when it builds that row; a precomputed
-        # one reads them all into a list, so pickling it (what a --jobs
-        # worker is sent) carries none of the loader's columns
+        # a plain pool scatters its category rows from the loader's columns
+        # and reads no profile to build or use them; a precomputed one reads
+        # them all into a list, so pickling it (what a --jobs worker is
+        # sent) carries none of the loader's columns
         path = tmp_path / "ratings.csv"
         path.write_text(
             "".join(f"{u},{m},{1 + (u * m) % 6}\n" for u in range(1, 6) for m in range(1, 9)),
@@ -509,9 +510,10 @@ class TestPoolAffinities:
             UserProfile, "__post_init__", autospec=True, side_effect=UserProfile.__post_init__
         ) as check:
             pool = PoolAffinities(dataset, AffinityMeasure())
-            assert check.call_count == 0
-            pool.rows(np.array([3, 1, 3]))
-            assert check.call_count == 2
+            rows = np.array([3, 1, 3])
+            pool.antigen_affinities([UserProfile(9, {1: 2, 2: 5})])
+            pool.block(rows, rows)
+            assert check.call_count == 1  # the antigen's, made above
         assert pool.profiles[3] is dataset.users[4]
         assert [p.user_id for p in pool.profiles] == [1, 2, 3, 4, 5]
         stored = PoolAffinities.precomputed(dataset, AffinityMeasure())
@@ -560,7 +562,7 @@ class TestPoolAffinities:
             assert got.dtype == np.float64
             assert got.shape == (len(rows), len(cols))
             assert got.tobytes() == want.tobytes()
-            assert source.rows(rows).tolist() == fresh(rows).tolist()
+            assert source.categories[rows].tolist() == fresh(rows).tolist()
 
     @given(
         pool=st.lists(_ratings(12, min_size=2), min_size=2, max_size=8),
@@ -595,17 +597,21 @@ class TestPoolAffinities:
         movies = dataset.movie_array
         cols = category_matrix([profiles[i] for i in rows], movies)
         stored = PoolAffinities.precomputed(dataset, measure, remap)
+        full = []
         for source in (stored, PoolAffinities(dataset, measure, remap)):
             batch = source.antigen_affinities(antigens)
-            assert len(batch) == len(antigens)
-            for antigen, lookup in zip(antigens, batch):
+            assert batch.dtype == np.float64
+            assert batch.shape == (len(antigens), len(profiles))
+            full.append(batch)
+            for antigen, row in zip(antigens, batch):
                 fresh = category_affinity(measure, category_matrix([antigen], movies), cols)
                 want = _usable(*fresh, remap)[0]
-                single = source.antigen_affinities([antigen])[0](rows)
-                got = lookup(rows)
+                single = source.antigen_affinities([antigen])[0][rows]
+                got = row[rows]
                 assert got.dtype == np.float64
                 assert got.shape == (len(rows),)
                 assert got.tobytes() == single.tobytes() == want.tobytes()
+        assert full[0].tobytes() == full[1].tobytes()
 
     @given(
         pool=st.lists(_ratings(12, min_size=1), min_size=1, max_size=8),
@@ -622,7 +628,7 @@ class TestPoolAffinities:
     def test_store_block_and_per_pair_agree_bytewise(
         self, pool, antigen, kind, min_overlap, remap
     ):
-        # the precomputed store, both pools' blocks and antigen functions,
+        # the precomputed store, both pools' blocks and antigen rows,
         # and affinity() made usable pair by pair: the same float64 bytes,
         # short pairs (movies 1..12, so many share under three) included
         profiles = [UserProfile(uid, ratings) for uid, ratings in enumerate(pool, start=1)]
@@ -644,7 +650,7 @@ class TestPoolAffinities:
         outsider = UserProfile(99, antigen)
         want_antigen = np.array([per_pair(outsider, b) for b in profiles])
         for source in (stored, on_demand):
-            got = source.antigen_affinities([outsider])[0](everyone)
+            got = source.antigen_affinities([outsider])[0][everyone]
             assert got.tobytes() == want_antigen.tobytes()
 
     def test_usable_storage(self, standard_dataset):

@@ -184,20 +184,30 @@ class TestRecommend:
         assert len(payload["entries"]) == 5
 
     def test_movies_derived_once_per_request(self, data_file, monkeypatch):
-        # the load report's movie count and the pool's movie columns read one
-        # sorted union of the profiles' movies
-        movie_array = Dataset.__dict__["movie_array"]
-        derive = movie_array.func
+        # the load report's movie count, the pool's movies and its rating
+        # columns read one derivation from the loaded movie column
+        columns = Dataset.__dict__["_columns"]
+        derive = columns.func
         derived = []
 
         def counted(dataset):
             derived.append(dataset)
             return derive(dataset)
 
-        monkeypatch.setattr(movie_array, "func", counted)
+        monkeypatch.setattr(columns, "func", counted)
         args = ["recommend", str(data_file), "--min-ratings", "1", "--user", "1", "--seed", "7"]
         assert main(args) == 0
         assert len(derived) == 1
+
+    def test_builds_only_the_antigen_profile(self, data_file):
+        # the pool's category rows come from the loaded columns: the one
+        # profile a request builds is the antigen's
+        args = ["recommend", str(data_file), "--min-ratings", "1", "--user", "1", "--seed", "7"]
+        with mock.patch.object(
+            UserProfile, "__post_init__", autospec=True, side_effect=UserProfile.__post_init__
+        ) as check:
+            assert main(args) == 0
+        assert [call.args[0].user_id for call in check.call_args_list] == [1]
 
     def test_count_zero_rejected(self, data_file):
         with pytest.raises(SystemExit) as excinfo:
@@ -258,6 +268,21 @@ class TestRecommend:
         out = capsys.readouterr().out
         assert "no recommendations: no antibody has a positive weight\n" in out
         assert "already rated every candidate movie" not in out
+
+    def test_extinct_population_writes_empty_entries(self, data_file, tmp_path, capsys):
+        # without stimulation every antibody falls below the threshold and
+        # the pool runs dry: a normal outcome, not a runtime error
+        output = tmp_path / "out.json"
+        assert main([
+            "recommend", str(data_file), "--min-ratings", "1", "--user", "1", "--seed", "7",
+            "--k1", "0", "--threshold", "0.5", "-o", str(output),
+        ]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith(
+            " 0 antibodies\nno recommendations: the population went extinct\n"
+        )
+        assert captured.err == ""
+        assert json.loads(output.read_text())["entries"] == []
 
     def test_unknown_user_exits_two(self, data_file):
         assert main([

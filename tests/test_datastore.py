@@ -2,14 +2,17 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from immunorec import (
+    AffinityMeasure,
     Dataset,
     FileFormat,
     IngestConfig,
+    PoolAffinities,
     SyntheticConfig,
     UserProfile,
     generate_synthetic,
@@ -19,6 +22,7 @@ from immunorec import (
     weighted_kappa,
 )
 from immunorec import datastore
+from immunorec.affinity import category_matrix
 from immunorec.domain import common_categories
 from immunorec.errors import ConfigError, EmptyDatasetError, ParseError
 
@@ -236,6 +240,24 @@ class TestRatingColumns:
         assert list(dataset.users) == [1, 2]
         with pytest.raises(KeyError):
             dataset.users[3]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["columnar", "lines"])
+    def test_rating_columns_index_movie_array(self, tmp_path, newline):
+        # users out of order, each user's ratings in file order; the columnar
+        # parser reads int32 ids, the line parser int64
+        rows = ["2,9,4", "1,7,2", "2,3,6", "3,9,1", "1,3,5"]
+        dataset, _ = load_ratings(_write(tmp_path, newline.join(rows) + newline), LOOSE)
+        assert dataset.movie_array.dtype == np.int64
+        assert dataset.movie_array.tolist() == [3, 7, 9]
+        counts, columns, categories = dataset.rating_columns
+        assert counts.tolist() == [2, 2, 1]
+        assert columns.tolist() == [1, 0, 2, 0, 2]
+        assert categories.tolist() == [2, 5, 4, 6, 1]
+        # the pool's rows, scattered from those columns, are the profiles' rows
+        pool = PoolAffinities(dataset, AffinityMeasure())
+        profiles = [dataset.users[u] for u in dataset.user_ids]
+        assert pool.categories.tolist() == [[5, 2, 0], [6, 0, 4], [0, 0, 1]]
+        assert pool.categories.tolist() == category_matrix(profiles, dataset.movie_array).tolist()
 
 
 class TestSaveRatings:

@@ -454,10 +454,10 @@ class TestPruneAndReplace:
         assert len(admissions) > 1
         assert calls == []
 
-    def test_on_demand_admission_builds_newcomer_rows_once(self, monkeypatch):
-        # one category_matrix call for the antigen, then one per admission
-        # for its newcomers alone: the antigen column reuses their rows and
-        # members admitted earlier are not rebuilt
+    def test_plain_run_builds_only_the_antigen_row(self, monkeypatch):
+        # a plain pool holds every user's category row from the start, so a
+        # run makes one category_matrix call, for the antigen, however many
+        # admissions follow
         pool = PoolAffinities(_small_pool(40), AffinityMeasure(AffinityKind.KENDALLS_TAU), True)
         antigen = UserProfile(999, {m: (m % 6) + 1 for m in range(1, 13)})
         params = ImmuneParams(
@@ -478,11 +478,7 @@ class TestPruneAndReplace:
         )
         run_to_convergence(antigen, pool, params, seed=4)
         assert len(admissions) > 1
-        assert len(built) == 1 + len(admissions)
-        assert built[0] == [999]
-        assert [len(ids) for ids in built[1:]] == admissions
-        rows = [uid for ids in built[1:] for uid in ids]
-        assert len(rows) == len(set(rows))
+        assert built == [[999]]
 
     @settings(max_examples=60, deadline=None)
     @given(
