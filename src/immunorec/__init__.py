@@ -46,6 +46,7 @@ from .immune_network import (
     init_population,
     prune_and_replace,
     run_to_convergence,
+    run_trials,
 )
 from .recommender import predict_rating, recommend_top_n
 
@@ -79,6 +80,7 @@ __all__ = [
     "rating_from_category",
     "recommend_top_n",
     "run_to_convergence",
+    "run_trials",
     "save_ratings",
     "tie_ignored_fraction",
     "ties_experiment",

@@ -419,6 +419,10 @@ class _Profiles(Sequence[UserProfile]):
     def __len__(self) -> int:
         return len(self._ids)
 
+    def __reduce__(self) -> tuple:
+        # a plain list, so that a pickled pool carries no dataset
+        return list, (list(self),)
+
 
 #: Rows per kernel call while a pool's store is built. Larger chunks run
 #: faster but raise the peak memory of the kernel's temporaries.
@@ -470,8 +474,6 @@ class PoolAffinities:
         once and slices each chunk from it.
         """
         pool = cls(dataset, measure, remap_negative)
-        # a plain list, so the pool holds no reference to the dataset
-        pool.profiles = list(pool.profiles)
         categories = pool.categories
         n, movies = categories.shape
         usable = np.empty((n, n))

@@ -38,7 +38,7 @@ from .errors import (
     InsufficientRatingsError,
     SampleMismatchError,
 )
-from .immune_network import ImmuneParams, run_to_convergence, warn_shortfall
+from .immune_network import ImmuneParams, run_trials, warn_shortfall
 from .recommender import predict_rating
 
 log = logging.getLogger(__name__)
@@ -154,19 +154,13 @@ def user_accuracy(
     # one kernel call: every trial's antigen against every pool row
     affinities = pool.antigen_affinities(variants)
 
+    seeds = [_trial_seed(seed, antigen.user_id, t) for t in range(trials)]
+    finals = run_trials(variants, pool, params, seeds, affinities)
+
     total_error = 0.0
     fallbacks = 0
-    for trial_index, (movie_id, variant, affinity) in enumerate(
-        zip(hidden_movies, variants, affinities)
-    ):
+    for movie_id, final in zip(hidden_movies, finals):
         actual = antigen.rating(movie_id)
-        final = run_to_convergence(
-            variant,
-            pool,
-            params,
-            _trial_seed(seed, antigen.user_id, trial_index),
-            antigen_affinity=affinity,
-        )
         if len(final.rows):
             prediction = predict_rating(final, movie_id)
             value = prediction.value
@@ -186,7 +180,9 @@ def user_accuracy(
 
 
 def _eligible_antigens(antigens: Dataset, trials: int) -> list[int]:
-    return [uid for uid in antigens.user_ids if len(antigens.users[uid]) > trials]
+    # counted from the rating columns, so that a loaded file builds no profile
+    counts = antigens.rating_columns[0].tolist()
+    return [uid for uid, count in zip(antigens.user_ids, counts) if count > trials]
 
 
 def accuracy_experiment(

@@ -20,13 +20,15 @@ Updates are simultaneous (all dx_i computed from the pre-step state) and all
 randomness flows through one seeded generator, so a run is a pure function
 of (antigen, pool, params, seed), because the pool carries the measure, and
 whether the pool's affinities are precomputed or computed block by block
-makes no difference.
+makes no difference. Runs made together step in small groups until one of
+them prunes, each with the bits it would have alone.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +98,8 @@ class AisState:
     leaves it for good, so members and ``pool_remaining`` stay disjoint and
     pruned rows are never redrawn. ``antigen`` holds the antigen's usable
     affinity with every pool row, its row of
-    :meth:`~immunorec.affinity.PoolAffinities.antigen_affinities`.
+    :meth:`~immunorec.affinity.PoolAffinities.antigen_affinities`. Within
+    :func:`run_trials` the arrays may be views into a group's stacked copy.
     """
 
     pool: PoolAffinities
@@ -226,29 +229,41 @@ def warn_shortfall(pool: PoolAffinities, antigen_ids: list[int], params: ImmuneP
         )
 
 
+def _step(
+    matrix: np.ndarray, x: np.ndarray, antigen_affinities: np.ndarray, params: ImmuneParams
+) -> np.ndarray:
+    """The clamped Euler update of concentrations ``x``, over any leading run axes.
+
+    ``x`` and ``antigen_affinities`` are (..., n) and ``matrix`` (..., n, n).
+    numpy reduces each row of a stack with the same pairwise sum as the rows
+    of one (n, n) matrix, so a run steps bit for bit alike alone or stacked.
+    """
+    n = x.shape[-1]
+    # Row-wise multiply+reduce instead of a BLAS matvec keeps the summation
+    # order fixed across builds, which the bit-identical rerun contract needs.
+    interact = (matrix * x[..., None, :]).sum(axis=-1)
+    if not params.include_self:
+        interact = interact - np.diagonal(matrix, axis1=-2, axis2=-1) * x
+    dx = (
+        params.stimulation_rate * params.antigen_concentration * antigen_affinities * x
+        - (params.suppression_rate / n) * x * interact
+        - params.death_rate * x
+    )
+    return np.maximum(0.0, x + params.dt * dx)
+
+
 def concentration_step(state: AisState, params: ImmuneParams) -> AisState:
     """One simultaneous Euler update of every concentration, clamped at 0.
 
     The suppression sum runs over the whole current population including
     j = i unless ``params.include_self`` is off. A runaway step overflows to
-    inf or NaN; :func:`run_to_convergence` silences numpy's warnings for its
-    whole loop and names the run instead, while a direct caller sees them.
+    inf or NaN; :func:`run_trials` silences numpy's warnings for its loops
+    and names the run instead, while a direct caller sees them.
     """
-    x = state.concentrations
-    n = x.size
-    if n == 0:
-        return state
-    # Row-wise multiply+reduce instead of a BLAS matvec keeps the summation
-    # order fixed across builds, which the bit-identical rerun contract needs.
-    interact = (state.matrix * x[None, :]).sum(axis=1)
-    if not params.include_self:
-        interact = interact - np.diagonal(state.matrix) * x
-    dx = (
-        params.stimulation_rate * params.antigen_concentration * state.antigen_affinities * x
-        - (params.suppression_rate / n) * x * interact
-        - params.death_rate * x
-    )
-    state.concentrations = np.maximum(0.0, x + params.dt * dx)
+    if state.concentrations.size:
+        state.concentrations = _step(
+            state.matrix, state.concentrations, state.antigen_affinities, params
+        )
     return state
 
 
@@ -288,6 +303,118 @@ def prune_and_replace(
     return state
 
 
+#: Runs of :func:`run_trials` that step together. Stacking shares each
+#: step's fixed numpy cost among the runs; five already save nearly all of
+#: it, and a larger group holds more member matrices in memory at once.
+_GROUP = 5
+
+
+def _lockstep(states: list[AisState], params: ImmuneParams) -> int:
+    """Step equal-sized runs together for as long as none would change membership.
+
+    The group's member matrices, concentrations and antigen affinities are
+    stacked, and each state's matrix becomes a view into the one stacked
+    copy (a single run's arrays are viewed, not copied). A step is kept
+    while no concentration falls below the prune threshold and every one is
+    finite; the first that fails is thrown away. Stops at the stability
+    window, where every run has converged. Returns the iterations kept, each
+    of which added one to every run's ``stable_count``.
+    """
+    if len({len(state.members) for state in states}) > 1:
+        return 0
+    matrix, x, affinities = (
+        arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+        for arrays in zip(*((s.matrix, s.concentrations, s.antigen_affinities) for s in states))
+    )
+    for state, state_matrix in zip(states, matrix):
+        state.matrix = state_matrix  # frees the run's own copy
+    done = 0
+    while done < min(params.max_iterations, params.stability_window):
+        stepped = _step(matrix, x, affinities, params)
+        # NaN fails both comparisons
+        if not (params.prune_threshold <= stepped.min() and stepped.max() < math.inf):
+            break
+        x = stepped
+        done += 1
+    for state, state_x in zip(states, x):
+        state.concentrations = state_x
+        state.stable_count += done
+    return done
+
+
+def _run_alone(
+    user_id: int, state: AisState, params: ImmuneParams, rng: np.random.Generator, done: int
+) -> FinalPopulation:
+    """Carry one run on from iteration ``done + 1``: step, check, prune, until it stops."""
+    iterations = done
+    while state.stable_count < params.stability_window and iterations < params.max_iterations:
+        iterations += 1
+        concentration_step(state, params)
+        # concentrations are NaN or in [0, inf], so the sum is finite
+        # unless one is not, or unless huge finite ones overflow it
+        x = state.concentrations
+        if not math.isfinite(x.sum()) and not np.isfinite(x).all():
+            raise ImmunorecError(
+                f"user {user_id}: concentrations stopped being finite at iteration {iterations}"
+            )
+        prune_and_replace(state, params, rng)
+        if len(state.members) == 0:
+            log.warning("population went extinct (pool exhausted and all pruned)")
+            break
+    # a prune resets stable_count, so an extinct run has not converged
+    converged = state.stable_count >= params.stability_window
+    if not converged and len(state.members):
+        log.warning(
+            "no convergence within %d iterations (stable for %d)",
+            params.max_iterations,
+            state.stable_count,
+        )
+    return FinalPopulation(state.pool, state.members, state.concentrations, converged, iterations)
+
+
+def run_trials(
+    antigens: Sequence[UserProfile],
+    pool: PoolAffinities,
+    params: ImmuneParams,
+    seeds: Sequence[int],
+    antigen_rows: np.ndarray | None = None,
+) -> list[FinalPopulation]:
+    """Full selection loop per antigen and seed: init, then step+prune until membership settles.
+
+    Converged means the member set was unchanged for ``stability_window``
+    consecutive iterations; hitting ``max_iterations`` first returns the
+    current population with ``converged=False`` and a warning, and a prune
+    that leaves no member ends the run there, not converged, with a warning
+    of its own. A step that leaves any concentration NaN or infinite raises
+    :class:`ImmunorecError` naming the antigen user and the iteration.
+    ``antigen_rows[i]``, antigen ``i``'s row of
+    :meth:`~immunorec.affinity.PoolAffinities.antigen_affinities`, goes to
+    :func:`init_population`.
+
+    The runs go in groups of ``_GROUP``. Each draws its initial population
+    with its own generator; then :func:`_lockstep` steps the group together
+    until a run would prune, and from that iteration each run carries on
+    alone, in order. Every result, warning and error is therefore the one
+    that a separate run of each antigen, in order, would give.
+    """
+    results = []
+    for start in range(0, len(antigens), _GROUP):
+        group = slice(start, start + _GROUP)
+        rngs = [np.random.default_rng(seed) for seed in seeds[group]]
+        rows = [None] * len(rngs) if antigen_rows is None else antigen_rows[group]
+        states = [
+            init_population(antigen, pool, params, rng, antigen_affinity=row)
+            for antigen, rng, row in zip(antigens[group], rngs, rows)
+        ]
+        # a runaway step overflows to inf or NaN, which both phases report
+        # with the run's name, so numpy's warnings would only be noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            done = _lockstep(states, params)
+            for antigen, state, rng in zip(antigens[group], states, rngs):
+                results.append(_run_alone(antigen.user_id, state, params, rng, done))
+    return results
+
+
 def run_to_convergence(
     antigen: UserProfile,
     pool: PoolAffinities,
@@ -296,43 +423,10 @@ def run_to_convergence(
     *,
     antigen_affinity: np.ndarray | None = None,
 ) -> FinalPopulation:
-    """Full selection loop: init, then step+prune until membership settles.
+    """One antigen's selection loop: the one run of :func:`run_trials`.
 
-    Converged means the member set was unchanged for ``stability_window``
-    consecutive iterations; hitting ``max_iterations`` first returns the
-    current population with ``converged=False`` and a warning. A step that
-    leaves any concentration NaN or infinite raises :class:`ImmunorecError`
-    naming the antigen user and the iteration. ``antigen_affinity`` goes to
-    :func:`init_population`.
+    ``antigen_affinity`` is the antigen's row of antigen affinities,
+    computed when not given.
     """
-    rng = np.random.default_rng(seed)
-    state = init_population(antigen, pool, params, rng, antigen_affinity=antigen_affinity)
-
-    converged = False
-    iterations = 0
-    # a runaway step overflows to inf or NaN, which the check below reports
-    # with the run's name, so numpy's warnings would only be noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, params.max_iterations + 1):
-            concentration_step(state, params)
-            # concentrations are NaN or in [0, inf], so the sum is finite
-            # unless one is not, or unless huge finite ones overflow it
-            x = state.concentrations
-            if not math.isfinite(x.sum()) and not np.isfinite(x).all():
-                raise ImmunorecError(
-                    f"user {antigen.user_id}: concentrations stopped being finite "
-                    f"at iteration {iterations}"
-                )
-            prune_and_replace(state, params, rng)
-            if state.stable_count >= params.stability_window:
-                converged = True
-                break
-    if not converged:
-        log.warning(
-            "no convergence within %d iterations (stable for %d)",
-            params.max_iterations,
-            state.stable_count,
-        )
-    if len(state.members) == 0:
-        log.warning("population went extinct (pool exhausted and all pruned)")
-    return FinalPopulation(pool, state.members, state.concentrations, converged, iterations)
+    rows = None if antigen_affinity is None else antigen_affinity[None]
+    return run_trials([antigen], pool, params, [seed], rows)[0]

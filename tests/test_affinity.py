@@ -496,10 +496,10 @@ def test_category_matrix_equals_cell_by_cell(pool, movies):
 
 class TestPoolAffinities:
     def test_profiles_read_when_needed(self, tmp_path):
-        # a plain pool scatters its category rows from the loader's columns
-        # and reads no profile to build or use them; a precomputed one reads
-        # them all into a list, so pickling it (what a --jobs worker is
-        # sent) carries none of the loader's columns
+        # a pool, plain or precomputed, scatters its category rows from the
+        # loader's columns and reads no profile to build or use them; a
+        # pickled pool (what a --jobs worker is sent) holds its profiles as
+        # a plain list and none of the loader's columns
         path = tmp_path / "ratings.csv"
         path.write_text(
             "".join(f"{u},{m},{1 + (u * m) % 6}\n" for u in range(1, 6) for m in range(1, 9)),
@@ -516,8 +516,15 @@ class TestPoolAffinities:
             assert check.call_count == 1  # the antigen's, made above
         assert pool.profiles[3] is dataset.users[4]
         assert [p.user_id for p in pool.profiles] == [1, 2, 3, 4, 5]
-        stored = PoolAffinities.precomputed(dataset, AffinityMeasure())
-        assert type(stored.profiles) is list
+        dataset, _ = load_ratings(path, IngestConfig(min_ratings_per_user=1))
+        with mock.patch.object(
+            UserProfile, "__post_init__", autospec=True, side_effect=UserProfile.__post_init__
+        ) as check:
+            stored = PoolAffinities.precomputed(dataset, AffinityMeasure())
+            assert check.call_count == 0
+        sent = pickle.loads(pickle.dumps(stored))
+        assert type(sent.profiles) is list
+        assert sent.profiles == [dataset.users[u] for u in range(1, 6)]
         assert b"RatingColumns" not in pickle.dumps(stored)
 
     @given(

@@ -278,11 +278,15 @@ class TestRecommend:
             "--k1", "0", "--threshold", "0.5", "-o", str(output),
         ]) == 0
         captured = capsys.readouterr()
+        # the run stops at the prune that empties the population, not converged
         assert captured.out.endswith(
-            " 0 antibodies\nno recommendations: the population went extinct\n"
+            "user 1: did not converge after 3 iterations, 0 antibodies\n"
+            "no recommendations: the population went extinct\n"
         )
         assert captured.err == ""
-        assert json.loads(output.read_text())["entries"] == []
+        report = json.loads(output.read_text())
+        assert report["entries"] == []
+        assert report["converged"] is False and report["iterations"] == 3
 
     def test_unknown_user_exits_two(self, data_file):
         assert main([

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import immunorec.affinity
@@ -20,10 +20,12 @@ from immunorec import (
     init_population,
     prune_and_replace,
     run_to_convergence,
+    run_trials,
 )
 from immunorec.affinity import _usable, affinity, category_affinity, category_matrix
 from immunorec.immune_network import AisState, warn_shortfall
 from immunorec.errors import ConfigError, EmptyPoolError, ImmunorecError
+from immunorec.evaluation import _trial_seed, select_trial_movies
 
 from conftest import STANDARD_SYNTHETIC
 
@@ -164,6 +166,27 @@ class TestConcentrationStep:
             if previous is not None:
                 assert state.concentrations[0] >= previous
             previous = state.concentrations[0]
+
+
+    @pytest.mark.parametrize("n", [4, 139])
+    @pytest.mark.parametrize("include_self", [True, False], ids=["self", "no-self"])
+    def test_stacked_state_equals_separate_steps(self, include_self, n):
+        # three runs stacked as (3, n) concentrations over (3, n, n) matrices
+        # step bit for bit as the three runs one at a time
+        rng = np.random.default_rng(8)
+        matrices = rng.random((3, n, n)) - 0.3
+        matrices = (matrices + matrices.swapaxes(1, 2)) / 2
+        affinities = rng.random((3, n))
+        x = rng.random((3, n)) + 0.5
+        params = ImmuneParams(include_self=include_self)
+        stacked = _bare_state(affinities[0], matrices[0], x[0])
+        stacked.matrix, stacked.concentrations, stacked.antigen_affinities = matrices, x, affinities
+        concentration_step(stacked, params)
+        assert stacked.concentrations.shape == (3, n)
+        for i in range(3):
+            alone = _bare_state(affinities[i], matrices[i], x[i])
+            concentration_step(alone, params)
+            assert alone.concentrations.tobytes() == stacked.concentrations[i].tobytes()
 
 
 class TestInitPopulation:
@@ -609,7 +632,8 @@ class TestRunToConvergence:
         # after 29 steps 0.9^t < 0.05: everyone pruned, pool empty, population extinct
         assert len(final.members) == 0
         assert len(final.rows) == 0 and final.members == ()
-        assert not final.converged
+        # the run ends at the prune that empties it
+        assert not final.converged and final.iterations_used == 29
 
     def test_huge_finite_concentrations_pass(self):
         # five concentrations of 1e308 whose sum overflows: the run checks
@@ -644,3 +668,144 @@ class TestRunToConvergence:
         assert np.all(state.antigen_affinities >= 0.0)
         assert np.all(state.matrix >= 0.0)
         assert np.all(state.matrix <= 1.0)
+
+
+def _reference_run(antigen, pool, params, seed, antigen_affinity):
+    """One run from the public steps alone: (rows, weight bytes, converged,
+    iterations), or the error text of a runaway step."""
+    rng = np.random.default_rng(seed)
+    state = init_population(antigen, pool, params, rng, antigen_affinity=antigen_affinity)
+    iterations = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while state.stable_count < params.stability_window and iterations < params.max_iterations:
+            iterations += 1
+            concentration_step(state, params)
+            if not np.isfinite(state.concentrations).all():
+                return (
+                    f"user {antigen.user_id}: concentrations stopped being finite "
+                    f"at iteration {iterations}"
+                )
+            prune_and_replace(state, params, rng)
+            if len(state.members) == 0:
+                break
+    converged = state.stable_count >= params.stability_window
+    return state.members.tolist(), state.concentrations.tobytes(), converged, iterations
+
+
+class TestRunTrials:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pool_seed=st.integers(0, 2**32 - 1),
+        pool_size=st.integers(2, 14),
+        pooled=st.lists(st.booleans(), min_size=1, max_size=8),
+        kind=st.sampled_from(list(AffinityKind)),
+        remap=st.booleans(),
+        precomputed=st.booleans(),
+        rows_given=st.booleans(),
+        population=st.integers(1, 12),
+        threshold=st.sampled_from([0.0, 0.05, 0.5, 0.7, 0.95]),
+        stimulation=st.sampled_from([0.3, 2.0, 1e300]),
+        include_self=st.booleans(),
+        max_iterations=st.sampled_from([0, 2, 500]),
+        window=st.sampled_from([1, 3, 10]),
+        run_seed=st.integers(0, 2**32 - 1),
+    )
+    # seven runs cross a group boundary; a threshold of 0 never prunes, so
+    # every run converges in lockstep
+    @example(
+        pool_seed=3, pool_size=14, pooled=[False] * 7, kind=AffinityKind.WEIGHTED_KAPPA,
+        remap=False, precomputed=True, rows_given=True, population=10, threshold=0.0,
+        stimulation=0.3, include_self=True, max_iterations=500, window=10, run_seed=1,
+    )
+    # both groups leave the lockstep at their first prune, after 2 or 3 steps
+    @example(
+        pool_seed=1, pool_size=14, pooled=[False] * 7, kind=AffinityKind.KENDALLS_TAU,
+        remap=True, precomputed=True, rows_given=False, population=10, threshold=0.5,
+        stimulation=0.3, include_self=True, max_iterations=500, window=10, run_seed=1,
+    )
+    # no prune, and with one antibody and no self term no suppression: the
+    # second step overflows to inf, not NaN, and the runaway run must name it
+    @example(
+        pool_seed=3, pool_size=14, pooled=[False] * 6, kind=AffinityKind.WEIGHTED_KAPPA,
+        remap=False, precomputed=False, rows_given=True, population=1, threshold=0.0,
+        stimulation=1e300, include_self=False, max_iterations=500, window=10, run_seed=1,
+    )
+    def test_equals_runs_one_at_a_time(
+        self, pool_seed, pool_size, pooled, kind, remap, precomputed, rows_given, population,
+        threshold, stimulation, include_self, max_iterations, window, run_seed,
+    ):
+        # every run of a batch, stepped in lockstep groups until a prune, a
+        # shortfall or a population size apart, ends bit for bit as the
+        # reference loop ends it alone; a runaway batch raises the first
+        # runaway run's error
+        rng = np.random.default_rng(pool_seed)
+
+        def ratings():
+            picks = rng.choice(10, size=rng.integers(1, 9), replace=False) + 1
+            return {int(m): int(rng.integers(1, 7)) for m in picks}
+
+        profiles = [UserProfile(uid, ratings()) for uid in range(1, pool_size + 1)]
+        antigens = [
+            profiles[i % pool_size] if inside else UserProfile(900 + i, ratings())
+            for i, inside in enumerate(pooled)
+        ]
+        measure = AffinityMeasure(kind)
+        dataset = Dataset.from_profiles(profiles)
+        pool = (
+            PoolAffinities.precomputed(dataset, measure, remap)
+            if precomputed
+            else PoolAffinities(dataset, measure, remap)
+        )
+        params = ImmuneParams(
+            stimulation_rate=stimulation, population_size=population, prune_threshold=threshold,
+            stability_window=window, max_iterations=max_iterations,
+            include_self=include_self, remap_negative=remap,
+        )
+        seeds = [run_seed + i for i in range(len(antigens))]
+        rows = pool.antigen_affinities(antigens) if rows_given else None
+        want = []
+        for i, (antigen, seed) in enumerate(zip(antigens, seeds)):
+            want.append(_reference_run(antigen, pool, params, seed, None if rows is None else rows[i]))
+            if isinstance(want[-1], str):
+                with pytest.raises(ImmunorecError) as error:
+                    run_trials(antigens, pool, params, seeds, rows)
+                assert str(error.value) == want[-1]
+                return
+        got = run_trials(antigens, pool, params, seeds, rows)
+        assert [
+            (final.rows.tolist(), final.weights.tobytes(), final.converged, final.iterations_used)
+            for final in got
+        ] == want
+
+    def test_runaway_trial_names_itself_in_order(self, standard_dataset, caplog):
+        # raw Kendall's Tau: of these three leave-one-out trials of user 7
+        # the first two go extinct and the third blows up; a batch raises
+        # the error that trial raises alone, after the same log records
+        antigen = standard_dataset.users[7]
+        hidden = select_trial_movies(antigen, 20, 7)
+        trials = [0, 2, 1]
+        variants = [antigen.without_movie(hidden[t]) for t in trials]
+        seeds = [_trial_seed(7, 7, t) for t in trials]
+        pool = PoolAffinities.precomputed(
+            standard_dataset, AffinityMeasure(AffinityKind.KENDALLS_TAU)
+        )
+        params = ImmuneParams()
+        with caplog.at_level(logging.INFO, logger="immunorec.immune_network"):
+            alone = []
+            for variant, seed in zip(variants, seeds):
+                try:
+                    alone.append(run_to_convergence(variant, pool, params, seed))
+                except ImmunorecError as error:
+                    message = str(error)
+                    break
+            records = [(r.levelname, r.getMessage()) for r in caplog.records]
+            caplog.clear()
+            with pytest.raises(ImmunorecError) as error:
+                run_trials(variants, pool, params, seeds)
+        assert len(alone) == 2 and all(len(final.rows) == 0 for final in alone)
+        assert message == "user 7: concentrations stopped being finite at iteration 58"
+        assert str(error.value) == message
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == records
+        assert records.count(
+            ("WARNING", "population went extinct (pool exhausted and all pruned)")
+        ) == 2
