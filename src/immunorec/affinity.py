@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -406,24 +406,6 @@ def _usable(values: np.ndarray, short: np.ndarray, remap_negative: bool) -> np.n
     return np.where(short, 0.0, values)
 
 
-class _Profiles(Sequence[UserProfile]):
-    """Pool row -> profile, read from a dataset's users on each access."""
-
-    def __init__(self, users: Mapping[int, UserProfile], ids: list[int]) -> None:
-        self._users = users
-        self._ids = ids
-
-    def __getitem__(self, row: int) -> UserProfile:
-        return self._users[self._ids[row]]
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __reduce__(self) -> tuple:
-        # a plain list, so that a pickled pool carries no dataset
-        return list, (list(self),)
-
-
 #: Rows per kernel call while a pool's store is built. Larger chunks run
 #: faster but raise the peak memory of the kernel's temporaries.
 _POOL_CHUNK = 5
@@ -440,7 +422,7 @@ class PoolAffinities:
     ``remap_negative`` is set. A plain instance runs the kernel on every
     call; :meth:`precomputed` runs it once over every pair of the pool and
     keeps the n x n float64 usable values, so that a block is one ``take``.
-    ``profiles[i]`` is row ``i``'s profile either way.
+    ``users`` is the dataset's user id -> profile mapping.
     """
 
     def __init__(
@@ -449,14 +431,13 @@ class PoolAffinities:
         self.measure = measure
         self.remap_negative = remap_negative
         self.movies = dataset.movie_array
-        ids = dataset.user_ids
-        self.user_ids = np.array(ids, dtype=np.int64)
-        # each profile is read from the dataset when first asked for
-        self.profiles: Sequence[UserProfile] = _Profiles(dataset.users, ids)
+        self.users = dataset.users
+        self.user_ids = np.array(dataset.user_ids, dtype=np.int64)
         counts, columns, categories = dataset.rating_columns
-        self.categories = np.zeros((len(ids), len(self.movies)), dtype=np.int8)
+        n = len(self.user_ids)
+        self.categories = np.zeros((n, len(self.movies)), dtype=np.int8)
         # each rating's flat index: its user's row offset plus its movie column
-        offsets = np.repeat(np.arange(len(ids)) * len(self.movies), counts)
+        offsets = np.repeat(np.arange(n) * len(self.movies), counts)
         self.categories.ravel()[offsets + columns] = categories
         self.usable: np.ndarray | None = None
 
@@ -498,7 +479,7 @@ class PoolAffinities:
         """Usable affinities of every category row of ``a`` with every one of ``b``."""
         return _usable(*category_affinity(self.measure, a, b), self.remap_negative)
 
-    def antigen_affinities(self, antigens: list[UserProfile]) -> np.ndarray:
+    def antigen_affinities(self, antigens: Sequence[UserProfile]) -> np.ndarray:
         """Usable affinities of every antigen with every pool row: antigens x pool rows.
 
         One kernel call, on the antigens' category rows and ``categories``,

@@ -89,19 +89,30 @@ def _unit_float(text: str) -> float:
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
+    ingest = IngestConfig()
     parser.add_argument("data", help="ratings CSV file")
     parser.add_argument(
         "--data-format",
         choices=[f.value for f in FileFormat],
-        default=FileFormat.CATEGORY_CSV.value,
-        help="input file format (default: category_csv)",
+        default=ingest.format.value,
+        help="input file format (default: %(default)s)",
     )
     parser.add_argument(
         "--min-ratings",
         type=_positive_int,
-        default=20,
+        default=ingest.min_ratings_per_user,
         metavar="N",
-        help="drop users with fewer ratings (default: 20)",
+        help="drop users with fewer ratings (default: %(default)s)",
+    )
+
+
+def _add_min_overlap_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--min-overlap",
+        type=_positive_int,
+        default=AffinityMeasure().min_overlap,
+        metavar="N",
+        help="common movies below which a pair is neutral (default: %(default)s)",
     )
 
 
@@ -109,44 +120,36 @@ def _add_measure_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--measure",
         choices=[k.value for k in AffinityKind],
-        default=AffinityKind.WEIGHTED_KAPPA.value,
-        help="affinity measure (default: wk)",
+        default=AffinityMeasure().kind.value,
+        help="affinity measure (default: %(default)s)",
     )
-    parser.add_argument(
-        "--min-overlap",
-        type=_positive_int,
-        default=2,
-        metavar="N",
-        help="common movies below which a pair is neutral (default: 2)",
-    )
+    _add_min_overlap_arg(parser)
+
+
+#: The numeric immune-network flags: (flag, metavar, type, help, ImmuneParams field).
+#: Each stores into its field, whose default it takes.
+_IMMUNE_FLAGS = (
+    ("--k1", "K1", float, "stimulation rate", "stimulation_rate"),
+    ("--k2", "K2", float, "suppression rate", "suppression_rate"),
+    ("--k3", "K3", float, "death rate", "death_rate"),
+    ("--antigen-concentration", "Y", float, "fixed antigen concentration", "antigen_concentration"),
+    ("--population", "N", _positive_int, "antibody population size", "population_size"),
+    ("--dt", "DT", float, "Euler step", "dt"),
+    ("--threshold", "X", float, "prune concentrations below this", "prune_threshold"),
+    ("--stability", "N", _positive_int, "iterations of unchanged membership to converge",
+     "stability_window"),
+    ("--max-iterations", "N", _nonnegative_int, "iteration cap", "max_iterations"),
+)
 
 
 def _add_immune_args(parser: argparse.ArgumentParser) -> None:
+    defaults = ImmuneParams()
     group = parser.add_argument_group("immune network")
-    group.add_argument("--k1", type=float, default=0.3, help="stimulation rate (default: 0.3)")
-    group.add_argument("--k2", type=float, default=0.2, help="suppression rate (default: 0.2)")
-    group.add_argument("--k3", type=float, default=0.1, help="death rate (default: 0.1)")
-    group.add_argument(
-        "--antigen-concentration", type=float, default=1.0, metavar="Y",
-        help="fixed antigen concentration (default: 1.0)",
-    )
-    group.add_argument(
-        "--population", type=_positive_int, default=100, metavar="N",
-        help="antibody population size (default: 100)",
-    )
-    group.add_argument("--dt", type=float, default=1.0, help="Euler step (default: 1.0)")
-    group.add_argument(
-        "--threshold", type=float, default=0.05, metavar="X",
-        help="prune concentrations below this (default: 0.05)",
-    )
-    group.add_argument(
-        "--stability", type=_positive_int, default=10, metavar="N",
-        help="iterations of unchanged membership to converge (default: 10)",
-    )
-    group.add_argument(
-        "--max-iterations", type=_nonnegative_int, default=500, metavar="N",
-        help="iteration cap (default: 500)",
-    )
+    for flag, metavar, kind, text, field in _IMMUNE_FLAGS:
+        group.add_argument(
+            flag, type=kind, default=getattr(defaults, field), metavar=metavar, dest=field,
+            help=f"{text} (default: %(default)s)",
+        )
     group.add_argument(
         "--exclude-self", action="store_true",
         help="drop the j = i term from the suppression sum",
@@ -163,15 +166,7 @@ def _measure_from(args: argparse.Namespace) -> AffinityMeasure:
 
 def _params_from(args: argparse.Namespace) -> ImmuneParams:
     return ImmuneParams(
-        stimulation_rate=args.k1,
-        suppression_rate=args.k2,
-        death_rate=args.k3,
-        antigen_concentration=args.antigen_concentration,
-        population_size=args.population,
-        dt=args.dt,
-        prune_threshold=args.threshold,
-        stability_window=args.stability,
-        max_iterations=args.max_iterations,
+        **{field: getattr(args, field) for *_, field in _IMMUNE_FLAGS},
         include_self=not args.exclude_self,
         remap_negative=args.remap_negative,
     )
@@ -471,13 +466,18 @@ def build_parser() -> _Parser:
     subcommands = evaluate.add_subparsers(dest="subcommand", required=True, metavar="EXPERIMENT")
 
     def _add_eval_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--seed", type=_nonnegative_int, required=True)
-        sub.add_argument("-o", "--output", metavar="FILE")
+        sub.add_argument("--seed", type=_nonnegative_int, required=True,
+                         help="master seed of every random choice")
+        sub.add_argument("-o", "--output", metavar="FILE", help="write the report to FILE")
 
     def _add_accuracy_args(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--users", type=_positive_int, required=True)
-        sub.add_argument("--trials", type=_positive_int, default=20)
-        sub.add_argument("--jobs", type=_positive_int, default=1)
+        sub.add_argument("--users", type=_positive_int, required=True,
+                         help="test users, sampled from those with more than --trials ratings")
+        sub.add_argument("--trials", type=_positive_int, default=20,
+                         help="hidden ratings per test user (default: %(default)s)")
+        sub.add_argument("--jobs", type=_positive_int, default=1,
+                         help="worker processes, at most one per test user and CPU "
+                              "(default: %(default)s)")
         split = sub.add_mutually_exclusive_group()
         split.add_argument(
             "--pool-threshold", type=_nonnegative_int, default=None, metavar="ID",
@@ -509,9 +509,10 @@ def build_parser() -> _Parser:
 
     compare = subcommands.add_parser("compare", help="paired accuracy of two measures")
     _add_dataset_args(compare)
-    compare.add_argument("--measures", default="wk,kt", metavar="A,B")
+    compare.add_argument("--measures", default="wk,kt", metavar="A,B",
+                         help="the two measures to compare (default: %(default)s)")
     _add_accuracy_args(compare)
-    compare.add_argument("--min-overlap", type=_positive_int, default=2, metavar="N")
+    _add_min_overlap_arg(compare)
     _add_immune_args(compare)
     _add_eval_common(compare)
     compare.set_defaults(func=cmd_eval_compare)

@@ -151,11 +151,8 @@ def user_accuracy(
         )
     hidden_movies = select_trial_movies(antigen, trials, seed)
     variants = [antigen.without_movie(movie_id) for movie_id in hidden_movies]
-    # one kernel call: every trial's antigen against every pool row
-    affinities = pool.antigen_affinities(variants)
-
     seeds = [_trial_seed(seed, antigen.user_id, t) for t in range(trials)]
-    finals = run_trials(variants, pool, params, seeds, affinities)
+    finals = run_trials(variants, pool, params, seeds)
 
     total_error = 0.0
     fallbacks = 0
@@ -168,7 +165,8 @@ def user_accuracy(
         else:
             # Extinct population (exhausted pool): fall back to the mean of the
             # eligible candidates, so the antigen's own pool entry stays unseen.
-            value = mean_rating(p for p in pool.profiles if p.user_id != antigen.user_id)
+            others = (u for u in pool.user_ids.tolist() if u != antigen.user_id)
+            value = mean_rating(pool.users[u] for u in others)
             fallbacks += 1
         total_error += abs(value - actual)
     return AccuracyRow(

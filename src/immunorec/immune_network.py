@@ -92,13 +92,13 @@ class AisState:
     """Mutable run state: membership, concentrations and affinities, by pool row.
 
     ``members`` holds pool rows (see :class:`~immunorec.affinity.PoolAffinities`)
-    in admission order and indexes the concentration vector, the
-    antigen-affinity vector and the rows/columns of the pairwise matrix.
-    ``pool_remaining`` holds the rows not drawn yet, ascending; a drawn row
-    leaves it for good, so members and ``pool_remaining`` stay disjoint and
-    pruned rows are never redrawn. ``antigen`` holds the antigen's usable
-    affinity with every pool row, its row of
-    :meth:`~immunorec.affinity.PoolAffinities.antigen_affinities`. Within
+    in admission order and indexes the concentration vector and the
+    rows/columns of the pairwise matrix. ``pool_remaining`` holds the rows
+    not drawn yet, ascending; a drawn row leaves it for good, so members and
+    ``pool_remaining`` stay disjoint and pruned rows are never redrawn.
+    ``antigen`` holds the antigen's usable affinity with every pool row, its
+    row of :meth:`~immunorec.affinity.PoolAffinities.antigen_affinities`, so
+    the members' antigen affinities are ``antigen[members]``. Within
     :func:`run_trials` the arrays may be views into a group's stacked copy.
     """
 
@@ -106,7 +106,6 @@ class AisState:
     antigen: np.ndarray
     members: np.ndarray
     concentrations: np.ndarray
-    antigen_affinities: np.ndarray
     matrix: np.ndarray
     pool_remaining: np.ndarray
     stable_count: int = 0
@@ -129,8 +128,8 @@ class FinalPopulation:
     @property
     def members(self) -> tuple[tuple[UserProfile, float], ...]:
         """``(profile, weight)`` per member, in admission order, built on each read."""
-        profiles = self.pool.profiles
-        return tuple((profiles[r], w) for r, w in zip(self.rows.tolist(), self.weights.tolist()))
+        users, ids = self.pool.users, self.pool.user_ids[self.rows].tolist()
+        return tuple((users[u], w) for u, w in zip(ids, self.weights.tolist()))
 
 
 def _draw_and_admit(
@@ -139,8 +138,7 @@ def _draw_and_admit(
     """Move ``count`` uniform draws from ``pool_remaining`` into the population.
 
     Newcomers join in ascending row (so user id) order at
-    ``initial_concentration``. Their antigen affinities are read from
-    ``state.antigen`` and their member block comes from the pool, one
+    ``initial_concentration``. Their member block comes from the pool, one
     ``take`` when the pool is precomputed; the vectors and the affinity
     matrix grow once for the whole batch.
     """
@@ -152,9 +150,6 @@ def _draw_and_admit(
     k = len(state.members)
     state.members = np.concatenate((state.members, newcomers))
     block = state.pool.block(newcomers, state.members)
-    state.antigen_affinities = np.concatenate(
-        (state.antigen_affinities, state.antigen[newcomers])
-    )
     state.concentrations = np.concatenate(
         (state.concentrations, np.full(count, params.initial_concentration))
     )
@@ -204,7 +199,6 @@ def init_population(
         ),
         members=np.empty(0, dtype=eligible.dtype),
         concentrations=np.empty(0),
-        antigen_affinities=np.empty(0),
         matrix=np.empty((0, 0)),
         pool_remaining=eligible,
     )
@@ -262,7 +256,7 @@ def concentration_step(state: AisState, params: ImmuneParams) -> AisState:
     """
     if state.concentrations.size:
         state.concentrations = _step(
-            state.matrix, state.concentrations, state.antigen_affinities, params
+            state.matrix, state.concentrations, state.antigen[state.members], params
         )
     return state
 
@@ -283,7 +277,6 @@ def prune_and_replace(
         keep = np.flatnonzero(~below)
         state.members = state.members[keep]
         state.concentrations = state.concentrations[keep]
-        state.antigen_affinities = state.antigen_affinities[keep]
         state.matrix = state.matrix.take(keep, 0)[:, keep]
 
         want = int(below.sum())
@@ -312,19 +305,19 @@ _GROUP = 5
 def _lockstep(states: list[AisState], params: ImmuneParams) -> int:
     """Step equal-sized runs together for as long as none would change membership.
 
-    The group's member matrices, concentrations and antigen affinities are
-    stacked, and each state's matrix becomes a view into the one stacked
-    copy (a single run's arrays are viewed, not copied). A step is kept
-    while no concentration falls below the prune threshold and every one is
-    finite; the first that fails is thrown away. Stops at the stability
-    window, where every run has converged. Returns the iterations kept, each
-    of which added one to every run's ``stable_count``.
+    The group's member matrices, concentrations and members' antigen
+    affinities are stacked, and each state's matrix becomes a view into the
+    one stacked copy (a single run's arrays are viewed, not copied). A step
+    is kept while no concentration falls below the prune threshold and every
+    one is finite; the first that fails is thrown away. Stops at the
+    stability window, where every run has converged. Returns the iterations
+    kept, each of which added one to every run's ``stable_count``.
     """
     if len({len(state.members) for state in states}) > 1:
         return 0
     matrix, x, affinities = (
         arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-        for arrays in zip(*((s.matrix, s.concentrations, s.antigen_affinities) for s in states))
+        for arrays in zip(*((s.matrix, s.concentrations, s.antigen[s.members]) for s in states))
     )
     for state, state_matrix in zip(states, matrix):
         state.matrix = state_matrix  # frees the run's own copy
@@ -377,7 +370,6 @@ def run_trials(
     pool: PoolAffinities,
     params: ImmuneParams,
     seeds: Sequence[int],
-    antigen_rows: np.ndarray | None = None,
 ) -> list[FinalPopulation]:
     """Full selection loop per antigen and seed: init, then step+prune until membership settles.
 
@@ -387,24 +379,23 @@ def run_trials(
     that leaves no member ends the run there, not converged, with a warning
     of its own. A step that leaves any concentration NaN or infinite raises
     :class:`ImmunorecError` naming the antigen user and the iteration.
-    ``antigen_rows[i]``, antigen ``i``'s row of
-    :meth:`~immunorec.affinity.PoolAffinities.antigen_affinities`, goes to
-    :func:`init_population`.
 
-    The runs go in groups of ``_GROUP``. Each draws its initial population
-    with its own generator; then :func:`_lockstep` steps the group together
-    until a run would prune, and from that iteration each run carries on
-    alone, in order. Every result, warning and error is therefore the one
-    that a separate run of each antigen, in order, would give.
+    One :meth:`~immunorec.affinity.PoolAffinities.antigen_affinities` call
+    gives every antigen's row. The runs go in groups of ``_GROUP``. Each
+    draws its initial population with its own generator; then
+    :func:`_lockstep` steps the group together until a run would prune, and
+    from that iteration each run carries on alone, in order. Every result,
+    warning and error is therefore the one that a separate run of each
+    antigen, in order, would give.
     """
+    rows = pool.antigen_affinities(antigens)
     results = []
     for start in range(0, len(antigens), _GROUP):
         group = slice(start, start + _GROUP)
         rngs = [np.random.default_rng(seed) for seed in seeds[group]]
-        rows = [None] * len(rngs) if antigen_rows is None else antigen_rows[group]
         states = [
             init_population(antigen, pool, params, rng, antigen_affinity=row)
-            for antigen, rng, row in zip(antigens[group], rngs, rows)
+            for antigen, rng, row in zip(antigens[group], rngs, rows[group])
         ]
         # a runaway step overflows to inf or NaN, which both phases report
         # with the run's name, so numpy's warnings would only be noise
@@ -416,17 +407,7 @@ def run_trials(
 
 
 def run_to_convergence(
-    antigen: UserProfile,
-    pool: PoolAffinities,
-    params: ImmuneParams,
-    seed: int,
-    *,
-    antigen_affinity: np.ndarray | None = None,
+    antigen: UserProfile, pool: PoolAffinities, params: ImmuneParams, seed: int
 ) -> FinalPopulation:
-    """One antigen's selection loop: the one run of :func:`run_trials`.
-
-    ``antigen_affinity`` is the antigen's row of antigen affinities,
-    computed when not given.
-    """
-    rows = None if antigen_affinity is None else antigen_affinity[None]
-    return run_trials([antigen], pool, params, [seed], rows)[0]
+    """One antigen's selection loop: the one run of :func:`run_trials`."""
+    return run_trials([antigen], pool, params, [seed])[0]

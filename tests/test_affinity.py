@@ -15,6 +15,7 @@ from immunorec import (
     AffinityKind,
     AffinityMeasure,
     Dataset,
+    FinalPopulation,
     IngestConfig,
     PoolAffinities,
     UserProfile,
@@ -498,8 +499,8 @@ class TestPoolAffinities:
     def test_profiles_read_when_needed(self, tmp_path):
         # a pool, plain or precomputed, scatters its category rows from the
         # loader's columns and reads no profile to build or use them; a
-        # pickled pool (what a --jobs worker is sent) holds its profiles as
-        # a plain list and none of the loader's columns
+        # pickled pool (what a --jobs worker is sent) reads the same member
+        # profiles as the pool it was pickled from
         path = tmp_path / "ratings.csv"
         path.write_text(
             "".join(f"{u},{m},{1 + (u * m) % 6}\n" for u in range(1, 6) for m in range(1, 9)),
@@ -514,8 +515,8 @@ class TestPoolAffinities:
             pool.antigen_affinities([UserProfile(9, {1: 2, 2: 5})])
             pool.block(rows, rows)
             assert check.call_count == 1  # the antigen's, made above
-        assert pool.profiles[3] is dataset.users[4]
-        assert [p.user_id for p in pool.profiles] == [1, 2, 3, 4, 5]
+        assert pool.users is dataset.users
+        assert pool.user_ids.tolist() == [1, 2, 3, 4, 5]
         dataset, _ = load_ratings(path, IngestConfig(min_ratings_per_user=1))
         with mock.patch.object(
             UserProfile, "__post_init__", autospec=True, side_effect=UserProfile.__post_init__
@@ -523,9 +524,10 @@ class TestPoolAffinities:
             stored = PoolAffinities.precomputed(dataset, AffinityMeasure())
             assert check.call_count == 0
         sent = pickle.loads(pickle.dumps(stored))
-        assert type(sent.profiles) is list
-        assert sent.profiles == [dataset.users[u] for u in range(1, 6)]
-        assert b"RatingColumns" not in pickle.dumps(stored)
+        rows, weights = np.array([4, 0, 2]), np.array([0.5, 1.0, 0.25])
+        here, there = (FinalPopulation(p, rows, weights, True, 0) for p in (stored, sent))
+        assert [p.user_id for p, _ in here.members] == [5, 1, 3]
+        assert there.members == here.members
 
     @given(
         pool=st.lists(_ratings(12, min_size=1), min_size=1, max_size=8),

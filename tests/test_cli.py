@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from immunorec import cli, errors
+from immunorec import AffinityMeasure, IngestConfig, cli, errors
 from immunorec.cli import _print_report, build_parser, main
 from immunorec.domain import Dataset, UserProfile
 from immunorec.evaluation import AccuracyRow, ExperimentReport, TieRow
@@ -700,3 +700,17 @@ def test_empty_split_side_reported_once(data_file):
         "immunorec: config error: --pool-threshold 1180591620717411303424 leaves a side "
         "empty: 0 pool users, 30 test users\n"
     )
+
+
+def test_untuned_commands_take_the_dataclass_defaults():
+    for argv in (
+        ["recommend", "data.csv", "--user", "1", "--seed", "1"],
+        ["eval", "accuracy", "data.csv", "--users", "1", "--seed", "1"],
+        ["eval", "compare", "data.csv", "--users", "1", "--seed", "1"],
+    ):
+        args = build_parser().parse_args(argv)
+        assert cli._params_from(args) == ImmuneParams()
+        assert cli._ingest_config(args) == IngestConfig()
+        assert AffinityMeasure(min_overlap=args.min_overlap) == AffinityMeasure()
+        if "measure" in args:
+            assert cli._measure_from(args) == AffinityMeasure()

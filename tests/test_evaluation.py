@@ -217,6 +217,24 @@ class TestAccuracyExperiment:
             parallel = accuracy_experiment(data, data, measure, params, **kwargs, jobs=2)
             assert serial == parallel
 
+    def test_parallel_equals_serial_on_a_loaded_file(self, tmp_path):
+        # a loaded pool reads its profiles from the loader's columns; users
+        # 41 and 42 share no movie with anyone, so their runs go extinct and
+        # every trial falls back to the mean of the other pool users, which
+        # a worker reads from its unpickled pool
+        isolated = [
+            UserProfile(uid, {100 * uid + k: 1 + k % 6 for k in range(12)}) for uid in (41, 42)
+        ]
+        path = tmp_path / "ratings.csv"
+        save_ratings(Dataset.from_profiles([*self._varied(), *isolated]), path)
+        loaded, _ = load_ratings(path, IngestConfig(min_ratings_per_user=1))
+        antigens = loaded.subset([3, 41, 42])
+        kwargs = dict(users=3, trials=3, seed=8)
+        serial = accuracy_experiment(antigens, loaded, KT, CHURN_PARAMS, **kwargs, jobs=1)
+        parallel = accuracy_experiment(antigens, loaded, KT, CHURN_PARAMS, **kwargs, jobs=2)
+        assert [row.fallback_trials for row in serial.rows[1:]] == [3, 3]
+        assert serial == parallel
+
     @pytest.mark.parametrize("measure", [WK, KT, PEARSON], ids=["wk", "kt", "pearson"])
     def test_rows_equal_on_demand_runs(self, measure):
         # the experiment's precomputed pool against user_accuracy on blocks

@@ -38,15 +38,16 @@ GOLDEN_FIRST_MEMBERS = [21, 29, 32, 36, 37, 40, 41, 49, 55, 63]
 
 
 def _bare_state(affinities, matrix, concentrations):
-    """Hand-assembled state for arithmetic checks; profiles are placeholders."""
+    """Hand-assembled state for arithmetic checks; profiles are placeholders.
+
+    Member ``i`` is pool row ``i``, so ``affinities`` is the antigen's row.
+    """
     members = [UserProfile(i + 1, {1: 3}) for i in range(len(affinities))]
-    pool = PoolAffinities(Dataset.from_profiles(members), WK)
     return AisState(
-        pool=pool,
-        antigen=pool.antigen_affinities([UserProfile(999, {1: 3})])[0],
+        pool=PoolAffinities(Dataset.from_profiles(members), WK),
+        antigen=np.asarray(affinities, dtype=np.float64),
         members=np.arange(len(members)),
         concentrations=np.asarray(concentrations, dtype=np.float64),
-        antigen_affinities=np.asarray(affinities, dtype=np.float64),
         matrix=np.asarray(matrix, dtype=np.float64),
         pool_remaining=np.empty(0, dtype=np.int64),
     )
@@ -62,12 +63,12 @@ def _assert_matches_recompute(
         return float(_usable(value.value, value.insufficient_overlap, params.remap_negative))
 
     members = _member_profiles(state)
-    assert state.antigen_affinities.tolist() == [usable(antigen, p) for p in members]
+    assert state.antigen[state.members].tolist() == [usable(antigen, p) for p in members]
     assert state.matrix.tolist() == [[usable(a, b) for b in members] for a in members]
 
 
 def _member_profiles(state: AisState) -> list[UserProfile]:
-    return [state.pool.profiles[i] for i in state.members]
+    return [state.pool.users[u] for u in state.member_ids]
 
 
 def _remaining_ids(state: AisState) -> set[int]:
@@ -171,22 +172,21 @@ class TestConcentrationStep:
     @pytest.mark.parametrize("n", [4, 139])
     @pytest.mark.parametrize("include_self", [True, False], ids=["self", "no-self"])
     def test_stacked_state_equals_separate_steps(self, include_self, n):
-        # three runs stacked as (3, n) concentrations over (3, n, n) matrices
-        # step bit for bit as the three runs one at a time
+        # three runs stacked as (3, n) concentrations over (3, n, n) matrices,
+        # as the lockstep loop steps them, step bit for bit as the three
+        # runs' states one at a time
         rng = np.random.default_rng(8)
         matrices = rng.random((3, n, n)) - 0.3
         matrices = (matrices + matrices.swapaxes(1, 2)) / 2
         affinities = rng.random((3, n))
         x = rng.random((3, n)) + 0.5
         params = ImmuneParams(include_self=include_self)
-        stacked = _bare_state(affinities[0], matrices[0], x[0])
-        stacked.matrix, stacked.concentrations, stacked.antigen_affinities = matrices, x, affinities
-        concentration_step(stacked, params)
-        assert stacked.concentrations.shape == (3, n)
+        stacked = immunorec.immune_network._step(matrices, x, affinities, params)
+        assert stacked.shape == (3, n)
         for i in range(3):
             alone = _bare_state(affinities[i], matrices[i], x[i])
             concentration_step(alone, params)
-            assert alone.concentrations.tobytes() == stacked.concentrations[i].tobytes()
+            assert alone.concentrations.tobytes() == stacked[i].tobytes()
 
 
 class TestInitPopulation:
@@ -372,7 +372,7 @@ class TestPruneAndReplace:
             antigen, PoolAffinities(pool, kt, remap_negative=True), params, seed=4
         )
         _assert_matches_recompute(state, antigen, params)
-        assert len(set(state.antigen_affinities.tolist())) > 1
+        assert len(set(state.antigen[state.members].tolist())) > 1
         rng = np.random.default_rng(2)
         while len(state.pool_remaining):
             state.concentrations[[0, 4, 7]] = 0.0
@@ -408,12 +408,12 @@ class TestPruneAndReplace:
                     category_matrix(_member_profiles(state), movies),
                 )
                 want = _usable(*fresh, remap)[0]
-                assert state.antigen_affinities.tolist() == want.tolist()
+                assert state.antigen[state.members].tolist() == want.tolist()
                 assert state.member_ids == [p.user_id for p in _member_profiles(state)]
 
             assert_rows()
             _assert_matches_recompute(state, antigen, params)
-            assert len(set(state.antigen_affinities.tolist())) > 1
+            assert len(set(state.antigen[state.members].tolist())) > 1
             history = [(state.member_ids, state.matrix.tolist())]
             rng = np.random.default_rng(2)
             while len(state.pool_remaining):
@@ -455,27 +455,29 @@ class TestPruneAndReplace:
 
     @pytest.mark.parametrize("kind", list(AffinityKind), ids=["wk", "kt", "pearson"])
     def test_precomputed_run_divides_nothing(self, kind, monkeypatch):
-        # once the pool and the antigen's function are built, every
-        # admission is a take of usable values: no division, no remap
+        # once the pool and the antigen's row are built, every admission is
+        # a take of usable values: no division, no remap
         pool = PoolAffinities.precomputed(_small_pool(40), AffinityMeasure(kind), True)
         antigen = UserProfile(999, {m: (m % 6) + 1 for m in range(1, 13)})
-        antigen_affinity = pool.antigen_affinities([antigen])[0]
         params = ImmuneParams(
             population_size=10, prune_threshold=0.5, stability_window=50, remap_negative=True
         )
-        calls, admissions = [], []
-        admit = immunorec.immune_network._draw_and_admit
+        events = []
         for name in ("_affinity_values", "_usable", "category_matrix"):
+            fn = getattr(immunorec.affinity, name)
             monkeypatch.setattr(
-                immunorec.affinity, name, lambda *args, name=name: calls.append(name)
+                immunorec.affinity, name,
+                lambda *args, name=name, fn=fn: events.append(name) or fn(*args),
             )
+        admit = immunorec.immune_network._draw_and_admit
         monkeypatch.setattr(
             immunorec.immune_network, "_draw_and_admit",
-            lambda *args: admissions.append(1) or admit(*args),
+            lambda *args: events.append("admit") or admit(*args),
         )
-        run_to_convergence(antigen, pool, params, seed=4, antigen_affinity=antigen_affinity)
-        assert len(admissions) > 1
-        assert calls == []
+        run_to_convergence(antigen, pool, params, seed=4)
+        first = events.index("admit")
+        assert sorted(set(events[:first])) == ["_affinity_values", "_usable", "category_matrix"]
+        assert events[first:].count("admit") == len(events[first:]) > 1
 
     def test_plain_run_builds_only_the_antigen_row(self, monkeypatch):
         # a plain pool holds every user's category row from the start, so a
@@ -618,7 +620,7 @@ class TestRunToConvergence:
         assert [(p.user_id, w) for p, w in final.members] == list(
             zip(pool.user_ids[final.rows].tolist(), final.weights.tolist())
         )
-        assert all(p is pool.profiles[r] for (p, _), r in zip(final.members, final.rows.tolist()))
+        assert all(p is pool.users[p.user_id] for p, _ in final.members)
 
     def test_decay_property_with_zero_affinities(self):
         # zero-overlap pool: every affinity is neutral, so concentrations
@@ -665,7 +667,7 @@ class TestRunToConvergence:
         params = ImmuneParams(remap_negative=True, max_iterations=0)
         pool = PoolAffinities(standard_dataset, kt, remap_negative=True)
         state = init_population(antigen, pool, params, seed=3)
-        assert np.all(state.antigen_affinities >= 0.0)
+        assert np.all(state.antigen[state.members] >= 0.0)
         assert np.all(state.matrix >= 0.0)
         assert np.all(state.matrix <= 1.0)
 
@@ -762,16 +764,17 @@ class TestRunTrials:
             include_self=include_self, remap_negative=remap,
         )
         seeds = [run_seed + i for i in range(len(antigens))]
+        # the reference run is given its row of a batch call, or computes its own
         rows = pool.antigen_affinities(antigens) if rows_given else None
         want = []
         for i, (antigen, seed) in enumerate(zip(antigens, seeds)):
             want.append(_reference_run(antigen, pool, params, seed, None if rows is None else rows[i]))
             if isinstance(want[-1], str):
                 with pytest.raises(ImmunorecError) as error:
-                    run_trials(antigens, pool, params, seeds, rows)
+                    run_trials(antigens, pool, params, seeds)
                 assert str(error.value) == want[-1]
                 return
-        got = run_trials(antigens, pool, params, seeds, rows)
+        got = run_trials(antigens, pool, params, seeds)
         assert [
             (final.rows.tolist(), final.weights.tobytes(), final.converged, final.iterations_used)
             for final in got
