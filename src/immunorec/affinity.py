@@ -80,10 +80,7 @@ class FrequencyTable:
 
 def build_frequency_table(a: UserProfile, b: UserProfile) -> FrequencyTable:
     """Tabulate the common movies of ``a`` and ``b`` by category pair."""
-    return _frequency_table(*common_categories(a, b)[1:])
-
-
-def _frequency_table(cats_a: np.ndarray, cats_b: np.ndarray) -> FrequencyTable:
+    _, cats_a, cats_b = common_categories(a, b)
     flat = (cats_a - 1) * NUM_CATEGORIES + (cats_b - 1)
     counts = np.bincount(flat, minlength=NUM_CATEGORIES * NUM_CATEGORIES)
     return FrequencyTable(counts.reshape(NUM_CATEGORIES, NUM_CATEGORIES), int(len(cats_a)))
@@ -98,11 +95,7 @@ def weighted_kappa(a: UserProfile, b: UserProfile) -> float:
 
     Raises :class:`InsufficientOverlapError` if the pair shares no movie.
     """
-    return _weighted_kappa(*common_categories(a, b)[1:])
-
-
-def _weighted_kappa(cats_a: np.ndarray, cats_b: np.ndarray) -> float:
-    table = _frequency_table(cats_a, cats_b)
+    table = build_frequency_table(a, b)
     if table.observations < 1:
         raise InsufficientOverlapError(needed=1, found=table.observations)
     credit = int((table.counts * _CREDITS).sum())
@@ -130,10 +123,7 @@ def kendalls_tau(a: UserProfile, b: UserProfile) -> KTResult:
 
     Raises :class:`InsufficientOverlapError` when fewer than 2 common movies.
     """
-    return _kendalls_tau(*common_categories(a, b)[1:])
-
-
-def _kendalls_tau(cats_a: np.ndarray, cats_b: np.ndarray) -> KTResult:
+    _, cats_a, cats_b = common_categories(a, b)
     n = len(cats_a)
     if n < 2:
         raise InsufficientOverlapError(needed=2, found=n)
@@ -174,20 +164,17 @@ def pearson_baseline(a: UserProfile, b: UserProfile) -> PearsonResult:
 
     Raises :class:`InsufficientOverlapError` when fewer than 2 common movies.
     """
-    return _pearson(*common_categories(a, b)[1:])
-
-
-def _pearson(cats_a: np.ndarray, cats_b: np.ndarray) -> PearsonResult:
+    _, cats_a, cats_b = common_categories(a, b)
     n = len(cats_a)
     if n < 2:
         raise InsufficientOverlapError(needed=2, found=n)
     # r is the same on raw categories as on the 0-1 scale, and there every
     # moment is an exact integer: the only roundings are the variance
     # product, the square root and the division
-    a, b = cats_a.tolist(), cats_b.tolist()
-    sum_a, sum_b = sum(a), sum(b)
-    covariance = n * sum(x * y for x, y in zip(a, b)) - sum_a * sum_b
-    variances = (n * sum(x * x for x in a) - sum_a**2) * (n * sum(y * y for y in b) - sum_b**2)
+    xs, ys = cats_a.tolist(), cats_b.tolist()
+    sum_a, sum_b = sum(xs), sum(ys)
+    covariance = n * sum(x * y for x, y in zip(xs, ys)) - sum_a * sum_b
+    variances = (n * sum(x * x for x in xs) - sum_a**2) * (n * sum(y * y for y in ys) - sum_b**2)
     if variances == 0:  # a constant side
         return PearsonResult(0.0, degenerate=True)
     r = float(covariance) / math.sqrt(float(variances))
@@ -210,14 +197,13 @@ def affinity(measure: AffinityMeasure, a: UserProfile, b: UserProfile) -> Affini
     ``insufficient_overlap`` flag set: such a pair neither stimulates nor
     suppresses anything downstream.
     """
-    _, cats_a, cats_b = common_categories(a, b)
-    if len(cats_a) < _needed(measure):
+    if len(a.categories.keys() & b.categories.keys()) < _needed(measure):
         return AffinityValue(0.0, insufficient_overlap=True)
     if measure.kind is AffinityKind.WEIGHTED_KAPPA:
-        return AffinityValue(_weighted_kappa(cats_a, cats_b))
+        return AffinityValue(weighted_kappa(a, b))
     if measure.kind is AffinityKind.KENDALLS_TAU:
-        return AffinityValue(_kendalls_tau(cats_a, cats_b).tau)
-    return AffinityValue(_pearson(cats_a, cats_b).value)
+        return AffinityValue(kendalls_tau(a, b).tau)
+    return AffinityValue(pearson_baseline(a, b).value)
 
 
 def _needed(measure: AffinityMeasure) -> int:

@@ -22,8 +22,6 @@ import sys
 from dataclasses import asdict, astuple
 from pathlib import Path
 
-import numpy as np
-
 from .affinity import (
     AffinityKind,
     AffinityMeasure,
@@ -367,15 +365,7 @@ def cmd_eval_accuracy(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_ties(args: argparse.Namespace) -> int:
-    dataset = _load(args)
-    all_ids = dataset.user_ids
-    if args.users < len(all_ids):
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
-        picked = rng.choice(np.asarray(all_ids, dtype=np.int64), size=args.users, replace=False)
-        users_sample = dataset.subset(sorted(int(u) for u in picked))
-    else:
-        users_sample = dataset
-    report = ties_experiment(users_sample, dataset, args.peers, args.seed)
+    report = ties_experiment(_load(args), args.users, args.peers, args.seed)
     _print_report(report)
     _write_report(report, args)
     return EXIT_OK

@@ -216,23 +216,15 @@ class Dataset:
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """All rated movie ids, ascending, and :attr:`rating_columns`, derived on first read.
 
-        One argsort of the movie ids gives both the ascending ids and each
-        rating's index into them. A loaded file's columns are read as they
-        are, so that no profile is built; a dict's profiles are flattened.
+        A loaded file's columns are read as they are, so that no profile is
+        built; a dict's profiles are flattened.
         """
         if isinstance(self.users, RatingColumns):
             counts, ids, categories = self.users.counts, self.users.movies, self.users.categories
         else:
             counts, ids, categories = flatten([self.users[u] for u in self.user_ids])
-        # deduplicated by hand: np.unique would import numpy.ma, which adds
-        # 0.6 MB and its import time to every cold process
-        order = np.argsort(ids)
-        ranked = ids[order]
-        first = np.ones(len(ranked), dtype=bool)
-        first[1:] = ranked[1:] != ranked[:-1]
-        columns = np.empty(len(ids), dtype=np.int64)
-        columns[order] = np.cumsum(first) - 1
-        movies = ranked[first].astype(np.int64)  # a loaded column may be int32
+        movies, columns = np.unique(ids, return_inverse=True)
+        movies = movies.astype(np.int64)  # a loaded column may be int32
         movies.flags.writeable = False  # one array serves every reader
         return movies, np.asarray(counts, dtype=np.int64), columns, categories
 

@@ -32,7 +32,6 @@ import numpy as np
 from .affinity import AffinityMeasure, PoolAffinities, tie_ignored_fraction
 from .domain import Dataset, UserProfile, mean_rating
 from .errors import (
-    ImmunorecError,
     InsufficientAntigensError,
     InsufficientOverlapError,
     InsufficientRatingsError,
@@ -123,6 +122,12 @@ def select_trial_movies(profile: UserProfile, trials: int, seed: int) -> list[in
     return [int(m) for m in picked]
 
 
+def _sample(ids: list[int], k: int, entropy: list[int]) -> list[int]:
+    """``k`` of ``ids`` drawn without replacement under ``SeedSequence(entropy)``, ascending."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    return sorted(rng.choice(np.asarray(ids, dtype=np.int64), size=k, replace=False).tolist())
+
+
 def _trial_seed(seed: int, user_id: int, trial_index: int) -> int:
     return int(np.random.SeedSequence([seed, user_id, trial_index]).generate_state(1)[0])
 
@@ -210,10 +215,7 @@ def accuracy_experiment(
         raise InsufficientAntigensError(
             f"need {users} users with more than {trials} ratings, found {len(eligible)}"
         )
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    sample = sorted(
-        int(u) for u in rng.choice(np.asarray(eligible, dtype=np.int64), size=users, replace=False)
-    )
+    sample = _sample(eligible, users, [seed])
     profiles = [antigens.users[uid] for uid in sample]
     affinities = PoolAffinities.precomputed(pool, measure, params.remap_negative)
     warn_shortfall(affinities, sample, params)
@@ -244,36 +246,37 @@ def accuracy_experiment(
 
 
 def ties_experiment(
-    users_sample: Dataset,
-    peers: Dataset,
+    dataset: Dataset,
+    users: int,
     sample_pairs_per_user: int,
     seed: int,
 ) -> ExperimentReport:
     """Average fraction of rank information lost to ties, per sampled user.
 
-    For every user, a seeded sample of peers is drawn and the ignored-pair
-    fraction of each comparable pair (2+ common movies) is averaged; pairs
-    without enough overlap are skipped and counted. Users with no comparable
-    peer at all are dropped with a diagnostic.
+    A seeded sample of ``users`` users is drawn, or every user when the
+    dataset holds no more than ``users``. For each, a seeded sample of its peers in the
+    dataset is drawn and the ignored-pair fraction of each comparable pair
+    (2+ common movies) is averaged; pairs without enough overlap are skipped
+    and counted. Users with no comparable peer at all are dropped with a
+    diagnostic.
+
+    Raises :class:`InsufficientAntigensError` when no user is left.
     """
+    all_ids = dataset.user_ids
+    sample = _sample(all_ids, users, [seed]) if users < len(all_ids) else all_ids
     rows: list[TieRow] = []
-    for user_id in users_sample.user_ids:
-        profile = users_sample.users[user_id]
-        candidates = [uid for uid in peers.user_ids if uid != user_id]
+    for user_id in sample:
+        profile = dataset.users[user_id]
+        candidates = [uid for uid in all_ids if uid != user_id]
         if not candidates:
             log.warning("user %d: no peers available, skipped", user_id)
             continue
-        rng = np.random.default_rng(np.random.SeedSequence([seed, user_id]))
         k = min(sample_pairs_per_user, len(candidates))
-        picked = sorted(
-            int(u)
-            for u in rng.choice(np.asarray(candidates, dtype=np.int64), size=k, replace=False)
-        )
         fractions = []
         skipped = 0
-        for peer_id in picked:
+        for peer_id in _sample(candidates, k, [seed, user_id]):
             try:
-                fractions.append(tie_ignored_fraction(profile, peers.users[peer_id]))
+                fractions.append(tie_ignored_fraction(profile, dataset.users[peer_id]))
             except InsufficientOverlapError:
                 skipped += 1
         if not fractions:
@@ -290,7 +293,7 @@ def ties_experiment(
             )
         )
     if not rows:
-        raise ImmunorecError("no sampled user had a peer with 2 or more common movies")
+        raise InsufficientAntigensError("no sampled user had a peer with 2 or more common movies")
     return ExperimentReport(
         kind="ties",
         measure="kt",

@@ -343,10 +343,8 @@ def _run_alone(
     while state.stable_count < params.stability_window and iterations < params.max_iterations:
         iterations += 1
         concentration_step(state, params)
-        # concentrations are NaN or in [0, inf], so the sum is finite
-        # unless one is not, or unless huge finite ones overflow it
-        x = state.concentrations
-        if not math.isfinite(x.sum()) and not np.isfinite(x).all():
+        # concentrations are NaN or in [0, inf], and NaN fails the comparison
+        if not state.concentrations.max() < math.inf:
             raise ImmunorecError(
                 f"user {user_id}: concentrations stopped being finite at iteration {iterations}"
             )

@@ -62,13 +62,7 @@ def experiment_bundle(standard_dataset):
         data, data, KT, ImmuneParams(remap_negative=True),
         users=EXPERIMENT_USERS, trials=EXPERIMENT_TRIALS, seed=EXPERIMENT_SEED,
     )
-    rng = np.random.default_rng(np.random.SeedSequence([EXPERIMENT_SEED]))
-    picked = sorted(
-        int(u) for u in rng.choice(np.asarray(data.user_ids), size=EXPERIMENT_USERS, replace=False)
-    )
-    ties_report = ties_experiment(
-        data.subset(picked), data, sample_pairs_per_user=30, seed=EXPERIMENT_SEED
-    )
+    ties_report = ties_experiment(data, EXPERIMENT_USERS, 30, EXPERIMENT_SEED)
     elapsed = time.perf_counter() - started
     return wk_report, kt_report, ties_report, elapsed
 

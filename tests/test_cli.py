@@ -401,6 +401,20 @@ class TestEval:
         assert lines[0] == "user_id,num_ratings,tie_fraction,pairs_skipped"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("rows", [
+        [(1, 1, 3), (1, 2, 4), (2, 3, 5), (2, 4, 1), (3, 5, 2), (3, 6, 6)],  # disjoint movies
+        [(1, 1, 3), (1, 2, 4)],                                               # one user
+    ], ids=["disjoint", "one-user"])
+    def test_ties_without_comparable_pair_exits_two(self, tmp_path, capsys, rows):
+        path = tmp_path / "ties.csv"
+        path.write_text("".join(f"{u},{m},{c}\n" for u, m, c in rows), encoding="utf-8")
+        assert main([
+            "eval", "ties", str(path), "--min-ratings", "1", "--users", "3", "--seed", "1",
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "immunorec: data error: no sampled user had a peer with 2 or more common movies\n"
+        )
+
     def test_compare_smoke(self, data_file, tmp_path, capsys):
         out_path = tmp_path / "compare.json"
         assert main([
@@ -635,8 +649,8 @@ def test_plain_value_error_is_a_runtime_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "immunorec: runtime error: ValueError: boom\n"
 
 
-def _run_cli_process(args: list[str], log: str):
-    """Run the command in a child process that imports the package this test did."""
+def _run_python(argv: list[str], log: str):
+    """Run ``python argv`` in a child process that imports the package this test did."""
     import subprocess
     import sys
     from pathlib import Path
@@ -645,11 +659,16 @@ def _run_cli_process(args: list[str], log: str):
 
     package_root = str(Path(immunorec.__file__).resolve().parent.parent)
     return subprocess.run(
-        [sys.executable, "-m", "immunorec.cli", *args],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={"IMMUNOREC_LOG": log, "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
     )
+
+
+def _run_cli_process(args: list[str], log: str):
+    """Run the command in a child process."""
+    return _run_python(["-m", "immunorec.cli", *args], log)
 
 
 def test_log_env_var_controls_verbosity(data_file):
@@ -686,6 +705,21 @@ def test_runaway_concentration_stderr_has_no_numpy_warnings(data_file):
     assert result.returncode == 3
     assert "concentrations stopped being finite" in result.stderr
     assert "RuntimeWarning" not in result.stderr
+
+
+def test_cold_runs_import_no_numpy_ma(data_file):
+    # numpy.ma adds its import time and memory to every cold process
+    script = (
+        "import sys\n"
+        "from immunorec.cli import main\n"
+        f"path = {str(data_file)!r}\n"
+        "assert main(['recommend', path, '--min-ratings', '1', '--user', '1', '--seed', '1']) == 0\n"
+        "assert main(['eval', 'accuracy', path, '--min-ratings', '1', '--users', '2',\n"
+        "             '--trials', '3', '--seed', '1']) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    result = _run_python(["-c", script], log="error")
+    assert result.returncode == 0, result.stderr
 
 
 def test_empty_split_side_reported_once(data_file):

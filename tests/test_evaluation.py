@@ -290,10 +290,8 @@ class TestAccuracyExperiment:
 
 class TestTiesExperiment:
     def test_reference_pair_fraction(self, reference_pair):
-        a, b = reference_pair
-        sample = Dataset.from_profiles([a])
-        peers = Dataset.from_profiles([a, b])
-        report = ties_experiment(sample, peers, sample_pairs_per_user=5, seed=1)
+        data = Dataset.from_profiles(reference_pair)
+        report = ties_experiment(data, users=1, sample_pairs_per_user=5, seed=1)
         assert len(report.rows) == 1
         assert report.rows[0].tie_fraction == 13 / 28
         assert report.mean == 13 / 28
@@ -305,7 +303,7 @@ class TestTiesExperiment:
             UserProfile(3, {1: 2, 2: 4, 3: 1, 4: 3}),
         ]
         data = Dataset.from_profiles(profiles)
-        report = ties_experiment(data, data, sample_pairs_per_user=5, seed=1)
+        report = ties_experiment(data, users=3, sample_pairs_per_user=5, seed=1)
         assert all(row.tie_fraction == 0.0 for row in report.rows)
         assert report.mean == 0.0
 
@@ -316,8 +314,8 @@ class TestTiesExperiment:
             for uid in range(1, 25)
         ]
         data = Dataset.from_profiles(profiles)
-        one = ties_experiment(data, data, sample_pairs_per_user=6, seed=12)
-        two = ties_experiment(data, data, sample_pairs_per_user=6, seed=12)
+        one = ties_experiment(data, users=10, sample_pairs_per_user=6, seed=12)
+        two = ties_experiment(data, users=10, sample_pairs_per_user=6, seed=12)
         assert one == two
 
     def test_short_overlap_pairs_counted(self):
@@ -325,8 +323,27 @@ class TestTiesExperiment:
         b = UserProfile(2, {1: 3, 2: 5, 3: 2})  # comparable with a
         c = UserProfile(3, {9: 3})              # never comparable
         data = Dataset.from_profiles([a, b, c])
-        report = ties_experiment(data.subset([1]), data, sample_pairs_per_user=5, seed=2)
+        report = ties_experiment(data, users=3, sample_pairs_per_user=5, seed=2)
+        assert report.rows[0].user_id == 1
         assert report.rows[0].pairs_skipped == 1
+
+    @pytest.mark.parametrize("users", [1, 7, 23, 24, 40])
+    def test_draws_users_like_the_accuracy_sample(self, users):
+        # every user shares 6+ movies with every other, so none is dropped
+        rng = np.random.default_rng(5)
+        profiles = [
+            UserProfile(uid, {m: int(rng.integers(1, 7)) for m in range(1, 7)})
+            for uid in range(3, 75, 3)
+        ]
+        data = Dataset.from_profiles(profiles)
+        report = ties_experiment(data, users, sample_pairs_per_user=4, seed=9)
+        ids = np.asarray(data.user_ids, dtype=np.int64)
+        if users < len(ids):
+            rng = np.random.default_rng(np.random.SeedSequence([9]))
+            expected = sorted(rng.choice(ids, size=users, replace=False).tolist())
+        else:
+            expected = data.user_ids
+        assert [row.user_id for row in report.rows] == expected
 
 
 class TestPairedComparison:
