@@ -89,8 +89,15 @@ def _parse_category(text: str, fmt: FileFormat, line: int) -> int:
         raise ParseError(line, 3, f"rating {value!r} is not on the 6-point scale") from None
 
 
-#: The three rating columns (user, movie, category), in file order.
+#: The three rating columns (user, movie, category), contiguous and grouped
+#: by user, ascending, each user's ratings in file order.
 Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _grouped(users: np.ndarray, movies: np.ndarray, categories: np.ndarray) -> Columns:
+    """The columns reordered by user, ascending, each user's ratings in file order."""
+    order = np.argsort(users, kind="stable")
+    return users[order], movies[order], categories[order]
 
 
 def _parse_columns(path: Path) -> Columns | None:
@@ -102,7 +109,7 @@ def _parse_columns(path: Path) -> Columns | None:
     line parser then reads the file and owns every error message.
     """
     raw = path.read_bytes()
-    if raw.translate(None, _COLUMNAR_BYTES) or not raw.translate(None, b",\n"):
+    if raw.translate(None, _COLUMNAR_BYTES) or not re.search(rb"[0-9]", raw):
         return None
     del raw
     try:
@@ -111,17 +118,20 @@ def _parse_columns(path: Path) -> Columns | None:
         return None
     if rows.shape[1] != 3:
         return None
-    users, movies, categories = rows.T
+    users, movies, categories = (np.ascontiguousarray(column) for column in rows.T)
+    del rows
     if users.min() < 1 or movies.min() < 1 or categories.min() < 1 or categories.max() > 6:
         return None
     # keys in strictly ascending (user, movie) order, as save_ratings writes
     # them, hold no duplicate; any other order is sorted once to find one
-    same_user = users[1:] == users[:-1]
-    if (users[1:] < users[:-1]).any() or (same_user & (movies[1:] <= movies[:-1])).any():
+    unordered = (users[1:] < users[:-1]).any()
+    if unordered or ((users[1:] == users[:-1]) & (movies[1:] <= movies[:-1])).any():
         order = np.lexsort((movies, users))
         u, m = users[order], movies[order]
         if ((u[1:] == u[:-1]) & (m[1:] == m[:-1])).any():
             return None
+    if unordered:
+        return _grouped(users, movies, categories)
     return users, movies, categories
 
 
@@ -166,7 +176,9 @@ def _parse_lines(path: Path, fmt: FileFormat) -> Columns:
             if bad := [ord(ch) - 0xDC00 for ch in text if "\udc80" <= ch <= "\udcff"]:
                 raise ParseError(lineno, column, f"byte 0x{bad[0]:02x} is not UTF-8") from None
         raise
-    return np.array(users, np.int64), np.array(movies, np.int64), np.array(categories, np.int8)
+    return _grouped(
+        np.array(users, np.int64), np.array(movies, np.int64), np.array(categories, np.int8)
+    )
 
 
 def load_ratings(path: str | Path, config: IngestConfig) -> tuple[Dataset, LoadReport]:
@@ -191,10 +203,6 @@ def load_ratings(path: str | Path, config: IngestConfig) -> tuple[Dataset, LoadR
     users, movies, categories = columns
     del columns
 
-    # group by user, each user's ratings in file order
-    if (users[1:] < users[:-1]).any():
-        order = np.argsort(users, kind="stable")
-        users, movies, categories = users[order], movies[order], categories[order]
     first = np.ones(len(users), dtype=bool)
     first[1:] = users[1:] != users[:-1]
     counts = np.diff(np.flatnonzero(first), append=len(users))
@@ -208,8 +216,7 @@ def load_ratings(path: str | Path, config: IngestConfig) -> tuple[Dataset, LoadR
         RatingColumns(
             users[bounds[:-1]].tolist(),
             bounds.tolist(),
-            # contiguous copies, so that the parsed rows can be freed
-            np.ascontiguousarray(movies),
+            movies,
             categories.astype(np.int8, copy=False),
         )
     )

@@ -143,6 +143,28 @@ def flatten(profiles: Sequence[UserProfile]) -> tuple[list[int], np.ndarray, np.
     return counts, ids, categories
 
 
+def _movie_columns(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct movie ids, ascending (int64, read-only), and each id's index into them.
+
+    Equal, array for array, to ``np.unique(ids, return_inverse=True)`` for
+    positive ids. While the largest id is at most the number of ids, a table
+    with a mark per id up to the largest numbers them without a sort: its
+    9 bytes per id cost no more than the sort's own arrays, over 16 bytes
+    per rating. Sparser ids, up to 2**63 - 1, are sorted by ``np.unique``.
+    """
+    top = int(ids.max()) if len(ids) else 0
+    if 0 < top <= len(ids):
+        marked = np.zeros(top + 1, dtype=bool)
+        marked[ids] = True
+        movies = np.flatnonzero(marked)
+        columns = (np.cumsum(marked, dtype=np.int64) - 1).take(ids)
+    else:
+        movies, columns = np.unique(ids, return_inverse=True)
+        movies = movies.astype(np.int64)  # a loaded column may be int32
+    movies.flags.writeable = False  # one array serves every reader
+    return movies, columns
+
+
 class RatingColumns(Mapping[int, UserProfile]):
     """Loaded ratings as columns, read as a user id -> :class:`UserProfile` mapping.
 
@@ -223,9 +245,7 @@ class Dataset:
             counts, ids, categories = self.users.counts, self.users.movies, self.users.categories
         else:
             counts, ids, categories = flatten([self.users[u] for u in self.user_ids])
-        movies, columns = np.unique(ids, return_inverse=True)
-        movies = movies.astype(np.int64)  # a loaded column may be int32
-        movies.flags.writeable = False  # one array serves every reader
+        movies, columns = _movie_columns(ids)
         return movies, np.asarray(counts, dtype=np.int64), columns, categories
 
     @property

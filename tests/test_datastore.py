@@ -26,6 +26,8 @@ from immunorec.affinity import category_matrix
 from immunorec.domain import common_categories
 from immunorec.errors import ConfigError, EmptyDatasetError, ParseError
 
+from test_domain import assert_movie_columns_equal_unique
+
 
 def _write(tmp_path, text, name="ratings.csv"):
     path = tmp_path / name
@@ -258,6 +260,32 @@ class TestRatingColumns:
         profiles = [dataset.users[u] for u in dataset.user_ids]
         assert pool.categories.tolist() == [[5, 2, 0], [6, 0, 4], [0, 0, 1]]
         assert pool.categories.tolist() == category_matrix(profiles, dataset.movie_array).tolist()
+
+    def test_largest_movie_id_through_line_parser(self, tmp_path):
+        # 2**63 - 1 overflows the columnar parser's int32, so the line parser
+        # reads it, and the sort numbers the movies
+        path = _write(tmp_path, f"1,{2**63 - 1},3\n1,5,2\n2,5,4\n")
+        dataset, _ = load_ratings(path, LOOSE)
+        assert dataset.users.movies.dtype == np.int64
+        _, columns, _ = dataset.rating_columns
+        assert dataset.movie_array.tolist() == [5, 2**63 - 1]
+        assert_movie_columns_equal_unique(dataset.users.movies, dataset.movie_array, columns)
+
+    def test_standard_file_loads_without_a_sort(self, tmp_path, standard_dataset):
+        # the saved file is in (user, movie) order and its movie ids are
+        # dense, so neither the order checks nor the movie columns sort
+        path = tmp_path / "standard.csv"
+        save_ratings(standard_dataset, path)
+        with (
+            mock.patch.object(np, "unique", wraps=np.unique) as unique,
+            mock.patch.object(np, "argsort", wraps=np.argsort) as argsort,
+            mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort,
+        ):
+            dataset, _ = load_ratings(path, LOOSE)
+            _, columns, _ = dataset.rating_columns
+        assert not unique.called and not argsort.called and not lexsort.called
+        assert dataset.users.movies.dtype == np.int32
+        assert_movie_columns_equal_unique(dataset.users.movies, dataset.movie_array, columns)
 
 
 class TestSaveRatings:

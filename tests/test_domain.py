@@ -1,10 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from immunorec import Dataset, UserProfile, category_from_rating, rating_from_category
-from immunorec.domain import SCALE_POINTS, common_categories
+from immunorec.domain import SCALE_POINTS, _movie_columns, common_categories
 from immunorec.errors import InvalidCategoryError, InvalidRatingError
 
 profiles = st.builds(
@@ -141,3 +143,71 @@ class TestDataset:
     def test_iteration_order(self):
         data = Dataset.from_profiles([UserProfile(u, {5: 3}) for u in (3, 1, 2)])
         assert [p.user_id for p in data] == [1, 2, 3]
+
+
+def assert_movie_columns_equal_unique(ids, movies, columns):
+    """``movies`` and ``columns`` are what ``np.unique(ids, return_inverse=True)`` gives."""
+    expected_movies, expected_columns = np.unique(ids, return_inverse=True)
+    assert movies.dtype == np.int64 and not movies.flags.writeable
+    assert movies.tolist() == expected_movies.tolist()
+    assert columns.dtype == expected_columns.dtype == np.int64
+    assert columns.shape == expected_columns.shape
+    assert columns.flags.c_contiguous and columns.flags.writeable
+    assert columns.tolist() == expected_columns.tolist()
+
+
+def _sorted_by_unique(ids):
+    """``_movie_columns(ids)``, and whether it called ``np.unique``."""
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        movies, columns = _movie_columns(ids)
+    return movies, columns, unique.called
+
+
+class TestMovieColumns:
+    """The id table and the sort number the movies alike."""
+
+    @given(
+        dtype=st.sampled_from([np.int32, np.int64]),
+        ids=st.one_of(
+            st.lists(st.integers(1, 40), min_size=1, max_size=120),  # dense
+            st.lists(st.integers(1, 2**31 - 1), min_size=1, max_size=20),  # sparse
+        ),
+    )
+    def test_equals_unique(self, dtype, ids):
+        ids = np.array(ids, dtype=dtype)
+        movies, columns, sorted_ = _sorted_by_unique(ids)
+        assert sorted_ == (ids.max() > len(ids))
+        assert_movie_columns_equal_unique(ids, movies, columns)
+
+    @given(ids=st.lists(st.integers(1, 2**63 - 1), min_size=1, max_size=20))
+    def test_equals_unique_up_to_int64_max(self, ids):
+        ids = np.array(ids, dtype=np.int64)
+        movies, columns = _movie_columns(ids)
+        assert_movie_columns_equal_unique(ids, movies, columns)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize(
+        "ids,sorted_",
+        # the table serves while the largest id is at most the number of ids
+        [([5, 2, 5, 1, 5], False), ([6, 2, 6, 1, 6], True), ([1], False), ([2], True)],
+    )
+    def test_rule_boundary(self, ids, sorted_, dtype):
+        ids = np.array(ids, dtype=dtype)
+        movies, columns, called = _sorted_by_unique(ids)
+        assert called == sorted_
+        assert_movie_columns_equal_unique(ids, movies, columns)
+
+    def test_empty_dataset(self):
+        data = Dataset.from_profiles([])
+        counts, columns, categories = data.rating_columns
+        assert counts.dtype == np.int64 and counts.shape == (0,)
+        assert categories.shape == (0,)
+        assert_movie_columns_equal_unique(np.zeros(0, np.int64), data.movie_array, columns)
+
+    def test_generated_dataset_takes_the_table(self, standard_dataset):
+        data = Dataset(dict(standard_dataset.users))
+        with mock.patch.object(np, "unique", side_effect=AssertionError):
+            movies = data.movie_array
+            _, columns, _ = data.rating_columns
+        ids = np.concatenate([list(data.users[u].categories) for u in data.user_ids])
+        assert_movie_columns_equal_unique(ids, movies, columns)
