@@ -251,37 +251,59 @@ def _exact_dtype(bound: int) -> type[np.floating]:
     return np.float32 if bound < 2**24 else np.float64
 
 
-def _onehot(block: np.ndarray, dtype: type[np.floating]) -> np.ndarray:
-    """(6 rows) x movies indicators: row ``6 i + c - 1`` marks ``block[i] == c``.
+def _packing(longest: int) -> tuple[int, int]:
+    """(bits, categories per product) of :func:`_packed` when no count exceeds ``longest``.
 
-    Filled one category at a time, so no (6 rows) x movies bool temporary is
-    made.
+    A count below ``2**bits`` never carries into the next digit, and ``per``
+    digits of ``bits`` bits stay below ``2**53``, where float64 holds every
+    integer, so each product and each of its partial sums is exact.
     """
-    rows, movies = block.shape
-    onehot = np.empty((NUM_CATEGORIES * rows, movies), dtype)
-    for c in range(NUM_CATEGORIES):
-        onehot[c::NUM_CATEGORIES] = block == c + 1
-    return onehot
+    bits = max(longest, 1).bit_length()
+    return bits, min(NUM_CATEGORIES, 53 // bits)
 
 
-def _tau_terms(
-    onehot_a: np.ndarray, onehot_b: np.ndarray, longest: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kendall's Tau (``2(C - D)``, overlap) of every pair of two :func:`_onehot` blocks.
+def _packed(block: np.ndarray, longest: int) -> np.ndarray:
+    """products x rows x movies float64: category ``c`` as one base-``2**bits`` digit.
 
-    One product gives every pair's 6x6 table f, and ``2(C - D) = f^T S f +
-    f^T f - n`` with ``S`` = ``_TAU_FORM``. For pairs that share at most
-    ``longest`` movies every partial sum of the form lies within
-    ``longest**2`` of 0, so it runs in :func:`_exact_dtype` of ``2 longest**2``
-    and every count is exact.
+    With ``k = c - 1``, category ``c`` is ``2**(bits * (k % per))`` in
+    product ``k // per`` and 0 in the others, and unrated is 0 in all
+    (:func:`_packing` gives ``bits`` and ``per``).
+    """
+    bits, per = _packing(longest)
+    k = np.arange(NUM_CATEGORIES)
+    digits = np.zeros((-(-NUM_CATEGORIES // per), NUM_CATEGORIES + 1))
+    digits[k // per, k + 1] = 2.0 ** (bits * (k % per))
+    return digits[:, block]
+
+
+def _tau_terms(a: np.ndarray, packed: np.ndarray, longest: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kendall's Tau (``2(C - D)``, overlap) of every row of ``a`` with every row of ``packed``.
+
+    ``packed`` is :func:`_packed` of the second block and no pair shares more
+    than ``longest`` movies. The one-hot rows of ``a``, category ``p`` of row
+    ``i`` at ``p * rows + i``, times a packed product hold each pair's table
+    counts ``f[p, q]`` as digits, which a shift and a mask give back. Then
+    ``2(C - D) = f^T S f + f^T f - n`` with ``S`` = ``_TAU_FORM``, which
+    keeps its value when both sides of the table swap. Every partial sum of
+    the form lies within ``2 longest**2`` of 0, so it runs in
+    :func:`_exact_dtype` of that and every count is exact.
     """
     g = NUM_CATEGORIES
-    rows_a, rows_b = len(onehot_a) // g, len(onehot_b) // g
+    bits, per = _packing(longest)
+    rows_a, rows_b = len(a), packed.shape[1]
+    onehot = (a == np.arange(1, g + 1)[:, None, None]).astype(np.float64)
+    onehot = onehot.reshape(g * rows_a, a.shape[1])
+    sums = [(onehot @ product.T).astype(np.int64).ravel() for product in packed]
     form = _exact_dtype(2 * longest**2)
-    products = (onehot_a @ onehot_b.T).reshape(rows_a, g, rows_b, g)
-    tables = products.swapaxes(1, 2).reshape(rows_a, rows_b, g * g).astype(form, copy=False)
-    overlap = tables.sum(axis=2)
-    return ((tables @ _TAU_FORM.astype(form) + tables) * tables).sum(axis=2) - overlap, overlap
+    tables = np.empty((g, g * rows_a * rows_b), form)  # row q: f[p, q] of pair (i, j) at (p, i, j)
+    for q in range(g):
+        tables[q] = (sums[q // per] >> (bits * (q % per))) & (2**bits - 1)
+    tables = tables.reshape(g * g, rows_a * rows_b)
+    overlap = tables.sum(axis=0)
+    terms = _TAU_FORM.astype(form) @ tables
+    terms += tables
+    terms *= tables
+    return (terms.sum(axis=0) - overlap).reshape(rows_a, rows_b), overlap.reshape(rows_a, rows_b)
 
 
 def category_affinity(
@@ -305,10 +327,10 @@ def _affinity_terms(
     ``a`` only: every caller passes the smaller block first. The overlap is
     ``(a > 0) @ (b > 0)^T``.
     Kendall's Tau comes from :func:`_tau_terms`; no pair shares more movies
-    than the rows of ``a`` rated between them. Pearson takes the moments n,
+    than the longest row of ``a`` rated. Pearson takes the moments n,
     sum a, sum b, sum ab, sum a^2 and sum b^2 of the raw categories from
     products of ``a > 0``, ``a`` and ``a * a`` with the same for ``b``, and
-    its numerator is r itself. The products run in float32 while their
+    its numerator is r itself. These products run in float32 while their
     integers stay below 2**24 (float64 from there), so every count is exact
     whatever the BLAS order or thread count. Pearson then rounds where
     :func:`pearson_baseline` does: the variance product, the square root and
@@ -324,7 +346,8 @@ def _affinity_terms(
         )
         return credit, (a > 0).astype(exact) @ (b > 0).astype(exact).T
     if kind is AffinityKind.KENDALLS_TAU:
-        return _tau_terms(_onehot(a, exact), _onehot(b, exact), a.shape[1])
+        longest = int(np.count_nonzero(a, axis=1).max(initial=0))
+        return _tau_terms(a, _packed(b, longest), longest)
     # Pearson, on raw categories: the (c - 1)/5 rescaling leaves r unchanged
     ones_a, ones_b = (a > 0).astype(exact), (b > 0).astype(exact)
     a, b = a.astype(exact), b.astype(exact)
@@ -437,22 +460,21 @@ class PoolAffinities:
         from there on; each chunk's exact terms get the one float64 division
         of :func:`_affinity_values` and then :func:`_usable`, and the chunk
         is written and mirrored, since every value is symmetric. No integer
-        terms outlive their chunk. Kendall's Tau one-hot encodes the pool
-        once and slices each chunk from it.
+        terms outlive their chunk. Kendall's Tau packs the pool once
+        (:func:`_packed`) and one-hot encodes only each chunk.
         """
         pool = cls(dataset, measure, remap_negative)
         categories = pool.categories
-        n, movies = categories.shape
+        n = len(categories)
         usable = np.empty((n, n))
         tau = measure.kind is AffinityKind.KENDALLS_TAU
         if tau:
-            g = NUM_CATEGORIES
-            longest = int((categories > 0).sum(axis=1).max(initial=0))
-            onehot = _onehot(categories, _exact_dtype(_PER_MOVIE[measure.kind] * movies))
+            longest = int(np.count_nonzero(categories, axis=1).max(initial=0))
+            packed = _packed(categories, longest)
         for start in range(0, n, _POOL_CHUNK):
             stop = start + _POOL_CHUNK
             if tau:
-                terms = _tau_terms(onehot[g * start : g * stop], onehot[g * start :], longest)
+                terms = _tau_terms(categories[start:stop], packed[:, start:], longest)
             else:
                 terms = _affinity_terms(measure.kind, categories[start:stop], categories[start:])
             chunk = _usable(*_affinity_values(measure, *terms), remap_negative)

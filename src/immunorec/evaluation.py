@@ -24,7 +24,6 @@ import logging
 import math
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
@@ -230,6 +229,9 @@ def accuracy_experiment(
     # with the fork start method every worker starts at the first submit
     workers = min(jobs, len(profiles), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: it loads multiprocessing, which one process never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         # one chunk per worker, so each worker unpickles the pool's affinities once
         with ProcessPoolExecutor(max_workers=workers) as executor:
             rows = list(executor.map(run, profiles, chunksize=math.ceil(len(profiles) / workers)))

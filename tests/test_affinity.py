@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import tracemalloc
 import types
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -8,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from immunorec import (
@@ -31,6 +32,8 @@ from immunorec.affinity import (
     _POOL_CHUNK,
     PearsonResult,
     _exact_dtype,
+    _packed,
+    _packing,
     _terms_dtypes,
     _usable,
     affinity,
@@ -727,6 +730,58 @@ class TestPoolAffinities:
         assert pool.categories.shape == (users, users * 2)
         assert pool.usable.shape == (users, users)
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), users=st.integers(1, 4), remap=st.booleans())
+    def test_two_product_tables_agree_bytewise(self, seed, users, remap):
+        # every profile rates 256 to 400 movies in one to six categories, so
+        # table counts pass 255 and each Kendall's Tau table takes two packed
+        # products: the store, both pools' blocks and antigen rows against
+        # affinity() made usable pair by pair
+        rng = np.random.default_rng(seed)
+
+        def profile(uid, movies):
+            rated = rng.choice(movies, size=rng.integers(256, 401), replace=False) + 1
+            categories = rng.choice(6, size=rng.integers(1, 7), replace=False) + 1
+            return UserProfile(uid, {int(m): int(rng.choice(categories)) for m in rated})
+
+        profiles = [profile(uid, 420) for uid in range(1, users + 1)]
+        own = profiles[0]
+        # an outsider may rate movies 421..440, which no pool profile has
+        antigens = [own.without_movie(min(own.categories)), profile(99, 440)]
+        assert _packing(min(len(p) for p in profiles))[1] == 5
+        measure = AffinityMeasure(AffinityKind.KENDALLS_TAU)
+
+        def usable(rows):
+            return np.array([
+                [float(_usable(v.value, v.insufficient_overlap, remap))
+                 for v in (affinity(measure, a, b) for b in profiles)]
+                for a in rows
+            ])
+
+        want, want_antigens = usable(profiles), usable(antigens)
+        dataset = Dataset.from_profiles(profiles)
+        stored = PoolAffinities.precomputed(dataset, measure, remap)
+        assert stored.usable.tobytes() == want.tobytes()
+        everyone = np.arange(users)
+        for source in (stored, PoolAffinities(dataset, measure, remap)):
+            assert source.block(everyone, everyone).tobytes() == want.tobytes()
+            assert source.antigen_affinities(antigens).tobytes() == want_antigens.tobytes()
+
+    def test_tau_build_peak_memory(self, standard_dataset):
+        # the n x n store (2 MB), the packed pool (1.2 MB) and one chunk's
+        # temporaries; a one-hot of the whole pool (users x 6 x movies, 3.6 MB
+        # even in float32) would pass the bound
+        measure = AffinityMeasure(AffinityKind.KENDALLS_TAU)
+        # the dataset builds its cached columns here, outside the trace
+        PoolAffinities.precomputed(standard_dataset, measure, True)
+        tracemalloc.start()
+        try:
+            PoolAffinities.precomputed(standard_dataset, measure, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5_000_000
+
 
 @pytest.mark.parametrize(
     "kind, longest, dtype",
@@ -758,6 +813,40 @@ def test_tau_form_dtype_boundary(longest, dtype):
     # the tau form's partial sums stay within longest**2 of 0; float32 holds
     # every integer below 2**24, and 2 * 2896**2 < 2**24 <= 2 * 2897**2
     assert _exact_dtype(2 * longest**2) is dtype
+
+
+@pytest.mark.parametrize("longest, products", [(255, 1), (256, 2)])
+def test_packing_boundary(longest, products):
+    # profiles that rate the same ``longest`` movies: one in category 6, one
+    # in category 5 (digit 4 of the first product at 9 bits), one cycling
+    # through all six, so table cells reach ``longest`` and ``longest / 6``
+    movies = range(1, longest + 1)
+    profiles = [
+        UserProfile(1, dict.fromkeys(movies, 6)),
+        UserProfile(2, dict.fromkeys(movies, 5)),
+        UserProfile(3, {m: 1 + m % 6 for m in movies}),
+    ]
+    dataset = Dataset.from_profiles(profiles)
+    measure = AffinityMeasure(AffinityKind.KENDALLS_TAU)
+    pool = PoolAffinities.precomputed(dataset, measure)
+    assert len(_packed(pool.categories, longest)) == products
+    want = [[affinity(measure, a, b).value for b in profiles] for a in profiles]
+    assert pool.usable.tolist() == want
+
+
+def test_packing_stays_exact():
+    # the smallest and largest count of each bit length up to 2**26: a count
+    # below 2**bits never carries, and ``per`` full digits stay below 2**53,
+    # where float64 holds every integer
+    for bits in range(1, 28):
+        for longest in (2 ** (bits - 1), 2**bits - 1):
+            digit_bits, per = _packing(longest)
+            assert digit_bits == bits
+            assert bits * per <= 53
+            assert (2**bits - 1) * sum(2 ** (bits * k) for k in range(per)) < 2**53
+    assert _packing(0) == (1, 6)
+    # past 26 bits each product holds one category: a one-hot product
+    assert _packing(2**26) == (27, 1)
 
 
 @pytest.mark.parametrize(

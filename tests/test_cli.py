@@ -708,7 +708,8 @@ def test_runaway_concentration_stderr_has_no_numpy_warnings(data_file):
 
 
 def test_cold_runs_import_no_numpy_ma(data_file):
-    # numpy.ma adds its import time and memory to every cold process
+    # numpy.ma, and the process executor with the multiprocessing modules it
+    # loads, add their import time and memory to every cold process
     script = (
         "import sys\n"
         "from immunorec.cli import main\n"
@@ -717,6 +718,7 @@ def test_cold_runs_import_no_numpy_ma(data_file):
         "assert main(['eval', 'accuracy', path, '--min-ratings', '1', '--users', '2',\n"
         "             '--trials', '3', '--seed', '1']) == 0\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        "assert 'concurrent.futures.process' not in sys.modules, 'the executor was imported'\n"
     )
     result = _run_python(["-c", script], log="error")
     assert result.returncode == 0, result.stderr

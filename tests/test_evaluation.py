@@ -280,7 +280,8 @@ class TestAccuracyExperiment:
             def map(self, fn, items, chunksize):
                 return map(fn, items)
 
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlineExecutor)
+        # evaluation imports the executor where it starts workers
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlineExecutor)
         monkeypatch.setattr(evaluation.os, "cpu_count", lambda: cpus)
         data = self._clustered()
         kwargs = dict(users=users, trials=3, seed=8)
