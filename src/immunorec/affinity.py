@@ -238,10 +238,9 @@ def category_matrix(profiles: list[UserProfile], movies: np.ndarray) -> np.ndarr
 
 
 #: Most that one movie column adds to a block kernel's integer sums: a Weighted
-#: Kappa credit, a Kendall's Tau table count, a Pearson product of categories.
+#: Kappa credit, a Pearson product of categories (:func:`_tau_terms` sizes its own).
 _PER_MOVIE = {
     AffinityKind.WEIGHTED_KAPPA: NUM_CATEGORIES - 1,
-    AffinityKind.KENDALLS_TAU: 1,
     AffinityKind.PEARSON: NUM_CATEGORIES**2,
 }
 
@@ -338,6 +337,9 @@ def _affinity_terms(
     """
     rated = (a > 0).any(axis=0)  # movies no row of ``a`` rated count for no pair
     a, b = a[:, rated], b[:, rated]
+    if kind is AffinityKind.KENDALLS_TAU:
+        longest = int(np.count_nonzero(a, axis=1).max(initial=0))
+        return _tau_terms(a, _packed(b, longest), longest)
     exact = _exact_dtype(_PER_MOVIE[kind] * a.shape[1])
     if kind is AffinityKind.WEIGHTED_KAPPA:
         lookup = _CREDIT_LOOKUP.astype(exact)
@@ -345,9 +347,6 @@ def _affinity_terms(
             lookup[d][a] @ (b == d).astype(exact).T for d in range(1, NUM_CATEGORIES + 1)
         )
         return credit, (a > 0).astype(exact) @ (b > 0).astype(exact).T
-    if kind is AffinityKind.KENDALLS_TAU:
-        longest = int(np.count_nonzero(a, axis=1).max(initial=0))
-        return _tau_terms(a, _packed(b, longest), longest)
     # Pearson, on raw categories: the (c - 1)/5 rescaling leaves r unchanged
     ones_a, ones_b = (a > 0).astype(exact), (b > 0).astype(exact)
     a, b = a.astype(exact), b.astype(exact)

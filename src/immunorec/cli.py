@@ -540,6 +540,9 @@ def main(argv: list[str] | None = None) -> int:
         # raised by no configuration check, so a fault in the program, not in its use
         print(f"immunorec: runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"immunorec: runtime error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -144,7 +144,8 @@ def user_accuracy(
     on the reduced profile (the user's own pool entry is never eligible, so
     the hidden rating is invisible everywhere), and scores the prediction.
     Fallback predictions count toward the average but are tallied in
-    ``fallback_trials`` so their influence stays auditable.
+    ``fallback_trials`` so their influence stays auditable. One warning
+    counts the trials that hit the iteration cap or went extinct, if any.
 
     Raises :class:`InsufficientRatingsError` unless the user rated strictly
     more than ``trials`` movies.
@@ -157,6 +158,14 @@ def user_accuracy(
     variants = [antigen.without_movie(movie_id) for movie_id in hidden_movies]
     seeds = [_trial_seed(seed, antigen.user_id, t) for t in range(trials)]
     finals = run_trials(variants, pool, params, seeds)
+    extinct = sum(not len(final.rows) for final in finals)
+    capped = sum(not final.converged for final in finals) - extinct
+    if capped or extinct:
+        log.warning(
+            "user %d (%s): %d of %d trials stopped at the %d-iteration cap, %d went extinct",
+            antigen.user_id, pool.measure.kind.value, capped, trials, params.max_iterations,
+            extinct,
+        )
 
     total_error = 0.0
     fallbacks = 0

@@ -268,9 +268,9 @@ def prune_and_replace(
 
     Pruned pool rows are permanently discarded (never redrawn). Replacements
     are drawn uniformly from the untouched remainder of the pool, up to the
-    removed count; an exhausted pool shrinks the population instead. The
-    stability counter resets on any membership change and increments
-    otherwise.
+    removed count; an exhausted pool quietly shrinks the population instead,
+    which the returned state's members show. The stability counter resets
+    on any membership change and increments otherwise.
     """
     below = state.concentrations < params.prune_threshold
     if below.any():
@@ -279,15 +279,7 @@ def prune_and_replace(
         state.concentrations = state.concentrations[keep]
         state.matrix = state.matrix.take(keep, 0)[:, keep]
 
-        want = int(below.sum())
-        draw = min(want, len(state.pool_remaining))
-        if draw < want:
-            log.info(
-                "pool exhausted: replacing %d of %d pruned antibodies (population now %d)",
-                draw,
-                want,
-                len(state.members) + draw,
-            )
+        draw = min(int(below.sum()), len(state.pool_remaining))
         if draw > 0:
             _draw_and_admit(state, draw, params, rng)
         state.stable_count = 0
@@ -338,7 +330,7 @@ def _lockstep(states: list[AisState], params: ImmuneParams) -> int:
 def _run_alone(
     user_id: int, state: AisState, params: ImmuneParams, rng: np.random.Generator, done: int
 ) -> FinalPopulation:
-    """Carry one run on from iteration ``done + 1``: step, check, prune, until it stops."""
+    """Step, check and prune one run from iteration ``done + 1`` until it stops; log nothing."""
     iterations = done
     while state.stable_count < params.stability_window and iterations < params.max_iterations:
         iterations += 1
@@ -350,16 +342,9 @@ def _run_alone(
             )
         prune_and_replace(state, params, rng)
         if len(state.members) == 0:
-            log.warning("population went extinct (pool exhausted and all pruned)")
             break
     # a prune resets stable_count, so an extinct run has not converged
     converged = state.stable_count >= params.stability_window
-    if not converged and len(state.members):
-        log.warning(
-            "no convergence within %d iterations (stable for %d)",
-            params.max_iterations,
-            state.stable_count,
-        )
     return FinalPopulation(state.pool, state.members, state.concentrations, converged, iterations)
 
 
@@ -373,9 +358,9 @@ def run_trials(
 
     Converged means the member set was unchanged for ``stability_window``
     consecutive iterations; hitting ``max_iterations`` first returns the
-    current population with ``converged=False`` and a warning, and a prune
-    that leaves no member ends the run there, not converged, with a warning
-    of its own. A step that leaves any concentration NaN or infinite raises
+    current population with ``converged=False``, and a prune that leaves no
+    member ends the run there, not converged, with no rows. Nothing is
+    logged. A step that leaves any concentration NaN or infinite raises
     :class:`ImmunorecError` naming the antigen user and the iteration.
 
     One :meth:`~immunorec.affinity.PoolAffinities.antigen_affinities` call
@@ -383,8 +368,8 @@ def run_trials(
     draws its initial population with its own generator; then
     :func:`_lockstep` steps the group together until a run would prune, and
     from that iteration each run carries on alone, in order. Every result,
-    warning and error is therefore the one that a separate run of each
-    antigen, in order, would give.
+    and the first runaway error, is therefore the one that separate runs of
+    the antigens, in trial order, would give.
     """
     rows = pool.antigen_affinities(antigens)
     results = []

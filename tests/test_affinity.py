@@ -461,15 +461,13 @@ class TestAffinityBlock:
         [
             (AffinityKind.WEIGHTED_KAPPA, (2**24 - 1) // 5, np.float32),
             (AffinityKind.WEIGHTED_KAPPA, (2**24 - 1) // 5 + 1, np.float64),
-            (AffinityKind.KENDALLS_TAU, 2**24 - 1, np.float32),
-            (AffinityKind.KENDALLS_TAU, 2**24, np.float64),
             (AffinityKind.PEARSON, (2**24 - 1) // 36, np.float32),
             (AffinityKind.PEARSON, (2**24 - 1) // 36 + 1, np.float64),
         ],
     )
     def test_exact_dtype_boundaries(self, kind, movies, dtype):
-        # WK credit sums reach 5 per movie, KT table counts 1, Pearson's sums
-        # of category products 36: float32 holds every integer below 2**24
+        # WK credit sums reach 5 per movie and Pearson's sums of category
+        # products 36: float32 holds every integer below 2**24
         assert _exact_dtype(_PER_MOVIE[kind] * movies) is dtype
 
     @pytest.mark.parametrize("kind", list(AffinityKind))

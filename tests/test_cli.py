@@ -63,10 +63,31 @@ class TestGen:
         assert excinfo.value.code == 1
         assert "usage" in capsys.readouterr().err
 
-    def test_bad_noise_exits_one(self, tmp_path):
+    def test_bad_noise_exits_one(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(GEN_ARGS[:8] + ["--noise", "1.5", "--seed", "1", "-o", str(tmp_path / "x.csv")])
+            main(GEN_ARGS[:7] + ["--noise", "1.5", "--seed", "1", "-o", str(tmp_path / "x.csv")])
         assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert "--noise" in err and "must lie in [0, 1]" in err
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(GEN_ARGS[:-1] + ["-1", "-o", str(tmp_path / "x.csv")])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "must be >= 0, got -1" in err
+
+    def test_refused_allocation_exits_three(self, tmp_path, capsys, monkeypatch):
+        # numpy raises MemoryError for an array it cannot allocate; none is asked for here
+        def refuse(config):
+            raise MemoryError("Unable to allocate 29.1 TiB")
+
+        monkeypatch.setattr("immunorec.cli.generate_synthetic", refuse)
+        assert main(GEN_ARGS + ["-o", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == (
+            "immunorec: runtime error: out of memory: Unable to allocate 29.1 TiB\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
 
     def test_invalid_range_is_config_error(self, tmp_path, capsys):
         code = main([
@@ -101,6 +122,13 @@ class TestIngestCheck:
         bad.write_text("1,5,9\n", encoding="utf-8")
         assert main(["ingest-check", str(bad), "--min-ratings", "1"]) == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_non_numeric_scaled_rating_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,5,0.6\n1,6,abc\n", encoding="utf-8")
+        argv = ["ingest-check", str(bad), "--data-format", "scaled_csv", "--min-ratings", "1"]
+        assert main(argv) == 2
+        assert "line 2, column 3: rating 'abc' is not a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "content, location",

@@ -113,6 +113,10 @@ class TestLoadRatings:
         assert dataset.user_ids == [1]
         assert report.users_dropped == 1
 
+    def test_min_ratings_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="min_ratings_per_user must be >= 1"):
+            IngestConfig(min_ratings_per_user=0)
+
     def test_all_users_filtered_raises(self, tmp_path):
         path = _write(tmp_path, "1,153,4\n")
         with pytest.raises(EmptyDatasetError):
@@ -431,3 +435,9 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError):
             SyntheticConfig(num_users=5, num_movies=5, num_clusters=1, noise=0.5,
                             ratings_per_user=(3, 9), seed=0)
+        with pytest.raises(ConfigError, match="num_clusters must be >= 1"):
+            SyntheticConfig(num_users=5, num_movies=5, num_clusters=0, noise=0.5,
+                            ratings_per_user=(1, 2), seed=0)
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            SyntheticConfig(num_users=5, num_movies=5, num_clusters=1, noise=0.5,
+                            ratings_per_user=(1, 2), seed=-1)

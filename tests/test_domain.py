@@ -36,7 +36,7 @@ def test_near_scale_rating_accepted():
     assert category_from_rating(0.6 + 5e-10) == 4
 
 
-@pytest.mark.parametrize("bad", [0, 7, -1, 100])
+@pytest.mark.parametrize("bad", [0, 7, -1, 100, 2.0, True])
 def test_out_of_range_category_rejected(bad):
     with pytest.raises(InvalidCategoryError):
         rating_from_category(bad)

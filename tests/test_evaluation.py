@@ -1,3 +1,4 @@
+import logging
 import math
 import statistics
 
@@ -78,6 +79,26 @@ class TestUserAccuracy:
         row = user_accuracy(antigen, PoolAffinities(pool, WK), FAST_PARAMS, trials=20, seed=3)
         assert row.accuracy == pytest.approx(0.0, abs=1e-12)
 
+    def test_capped_trials_warned_once(self, caplog):
+        movies = range(1, 26)
+        antigen = UserProfile(500, {m: 4 for m in movies})
+        pool = _uniform_pool(range(1, 31), movies, 4)
+        params = ImmuneParams(population_size=30, max_iterations=5)
+        with caplog.at_level(logging.DEBUG):
+            user_accuracy(antigen, PoolAffinities(pool, WK), params, trials=20, seed=3)
+        assert [(r.levelname, r.name, r.getMessage()) for r in caplog.records] == [(
+            "WARNING", "immunorec.evaluation",
+            "user 500 (wk): 20 of 20 trials stopped at the 5-iteration cap, 0 went extinct",
+        )]
+
+    def test_converged_trials_warn_nothing(self, caplog):
+        movies = range(1, 26)
+        antigen = UserProfile(500, {m: 4 for m in movies})
+        pool = _uniform_pool(range(1, 31), movies, 4)
+        with caplog.at_level(logging.DEBUG):
+            user_accuracy(antigen, PoolAffinities(pool, WK), FAST_PARAMS, trials=20, seed=3)
+        assert caplog.records == []
+
     def test_requires_more_ratings_than_trials(self):
         antigen = UserProfile(500, {m: 4 for m in range(1, 21)})
         pool = _uniform_pool(range(1, 5), range(1, 21), 4)
@@ -112,7 +133,7 @@ class TestUserAccuracy:
         reduced = antigen.without_movie(5)
         assert 5 not in reduced
 
-    def test_extinct_fallback_skips_own_pool_entry(self):
+    def test_extinct_fallback_skips_own_pool_entry(self, caplog):
         # no overlap anywhere: every member decays below the threshold, the
         # pool runs dry and each trial falls back to a mean rating, which
         # must not include the antigen's own (full) profile
@@ -123,9 +144,13 @@ class TestUserAccuracy:
         pool = Dataset.from_profiles([antigen, *others])
         params = ImmuneParams(population_size=3, max_iterations=60, stability_window=100)
         measure = AffinityMeasure(AffinityKind.WEIGHTED_KAPPA, min_overlap=1)
-        row = user_accuracy(antigen, PoolAffinities(pool, measure), params, trials=2, seed=0)
+        with caplog.at_level(logging.WARNING):
+            row = user_accuracy(antigen, PoolAffinities(pool, measure), params, trials=2, seed=0)
         assert row.fallback_trials == 2
         assert row.accuracy == 0.0
+        assert [r.getMessage() for r in caplog.records] == [
+            "user 1 (wk): 0 of 2 trials stopped at the 60-iteration cap, 2 went extinct"
+        ]
 
     def test_extinct_fallback_on_demand_over_loaded_ratings(self, tmp_path):
         # the fallback reads every pool profile, none of which the run built
@@ -401,6 +426,21 @@ class TestPairedComparison:
         b = self._report([0.8, 0.7])
         with pytest.raises(SampleMismatchError):
             paired_comparison(a, b)
+
+    def test_ties_report_rejected(self):
+        ties = ExperimentReport(
+            kind="ties",
+            measure="kt",
+            rows=(TieRow(user_id=1, num_ratings=30, tie_fraction=0.2, pairs_skipped=0),),
+            seed=5,
+            params=None,
+        )
+        with pytest.raises(SampleMismatchError, match="needs two accuracy reports"):
+            paired_comparison(self._report([0.8]), ties)
+
+    def test_empty_reports_rejected(self):
+        with pytest.raises(SampleMismatchError, match="reports contain no rows"):
+            paired_comparison(self._report([]), self._report([], measure="kt"))
 
 
 class TestReportSerialization:

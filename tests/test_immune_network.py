@@ -783,7 +783,7 @@ class TestRunTrials:
     def test_runaway_trial_names_itself_in_order(self, standard_dataset, caplog):
         # raw Kendall's Tau: of these three leave-one-out trials of user 7
         # the first two go extinct and the third blows up; a batch raises
-        # the error that trial raises alone, after the same log records
+        # the error that trial raises alone, and no run logs
         antigen = standard_dataset.users[7]
         hidden = select_trial_movies(antigen, 20, 7)
         trials = [0, 2, 1]
@@ -809,6 +809,22 @@ class TestRunTrials:
         assert message == "user 7: concentrations stopped being finite at iteration 58"
         assert str(error.value) == message
         assert [(r.levelname, r.getMessage()) for r in caplog.records] == records
-        assert records.count(
-            ("WARNING", "population went extinct (pool exhausted and all pruned)")
-        ) == 2
+        assert records == []
+
+    def test_runs_log_nothing(self, caplog):
+        # two runs hit the iteration cap, one exhausts the pool and goes
+        # extinct: each result says so, and no run writes a log record
+        profiles = [
+            UserProfile(uid, {1: uid % 6 + 1, 2: 3, 3: uid % 4 + 1}) for uid in range(1, 8)
+        ]
+        pool = PoolAffinities.precomputed(Dataset.from_profiles(profiles), WK)
+        antigen = UserProfile(100, {1: 2, 2: 3, 3: 4})
+        capped = ImmuneParams(population_size=3, prune_threshold=0.0, max_iterations=4)
+        extinct = ImmuneParams(population_size=3, prune_threshold=2.0)
+        with caplog.at_level(logging.DEBUG):
+            finals = run_trials([antigen] * 2, pool, capped, [1, 2])
+            finals += run_trials([antigen], pool, extinct, [3])
+        assert [(f.converged, len(f.rows), f.iterations_used) for f in finals] == [
+            (False, 3, 4), (False, 3, 4), (False, 0, 3)
+        ]
+        assert caplog.records == []
