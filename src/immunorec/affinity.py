@@ -414,9 +414,14 @@ def _usable(values: np.ndarray, short: np.ndarray, remap_negative: bool) -> np.n
     return np.where(short, 0.0, values)
 
 
-#: Rows per kernel call while a pool's store is built. Larger chunks run
-#: faster but raise the peak memory of the kernel's temporaries.
-_POOL_CHUNK = 5
+#: Rows per kernel call while a pool's store is built. More rows encode the pool
+#: less often but raise the peak: Pearson's 4.6 MB at 20 rows on 500 users is 5.9
+#: at 50, Kendall's Tau's passes 5 MB at 10 rows, and it runs slower at 50.
+_POOL_CHUNK = {
+    AffinityKind.WEIGHTED_KAPPA: 50,
+    AffinityKind.PEARSON: 20,
+    AffinityKind.KENDALLS_TAU: 5,
+}
 
 
 class PoolAffinities:
@@ -455,11 +460,11 @@ class PoolAffinities:
     ) -> PoolAffinities:
         """Usable affinities of the whole pool, built once.
 
-        The kernel runs on ``_POOL_CHUNK`` rows at a time against the rows
-        from there on; each chunk's exact terms get the one float64 division
-        of :func:`_affinity_values` and then :func:`_usable`, and the chunk
-        is written and mirrored, since every value is symmetric. No integer
-        terms outlive their chunk. Kendall's Tau packs the pool once
+        The kernel runs on the kind's ``_POOL_CHUNK`` rows at a time against
+        the rows from there on; each chunk's exact terms get the one float64
+        division of :func:`_affinity_values` and then :func:`_usable`, and the
+        chunk is written and mirrored, since every value is symmetric. No
+        integer terms outlive their chunk. Kendall's Tau packs the pool once
         (:func:`_packed`) and one-hot encodes only each chunk.
         """
         pool = cls(dataset, measure, remap_negative)
@@ -470,8 +475,8 @@ class PoolAffinities:
         if tau:
             longest = int(np.count_nonzero(categories, axis=1).max(initial=0))
             packed = _packed(categories, longest)
-        for start in range(0, n, _POOL_CHUNK):
-            stop = start + _POOL_CHUNK
+        for start in range(0, n, _POOL_CHUNK[measure.kind]):
+            stop = start + _POOL_CHUNK[measure.kind]
             if tau:
                 terms = _tau_terms(categories[start:stop], packed[:, start:], longest)
             else:

@@ -150,6 +150,15 @@ def user_accuracy(
     Raises :class:`InsufficientRatingsError` unless the user rated strictly
     more than ``trials`` movies.
     """
+    row, warning = _accuracy_row(antigen, pool, params, trials, seed)
+    if warning:
+        log.warning(warning)
+    return row
+
+
+def _accuracy_row(
+    antigen: UserProfile, pool: PoolAffinities, params: ImmuneParams, trials: int, seed: int
+) -> tuple[AccuracyRow, str | None]:
     if len(antigen) <= trials:
         raise InsufficientRatingsError(
             f"user {antigen.user_id} rated {len(antigen)} movies, need more than {trials}"
@@ -160,12 +169,11 @@ def user_accuracy(
     finals = run_trials(variants, pool, params, seeds)
     extinct = sum(not len(final.rows) for final in finals)
     capped = sum(not final.converged for final in finals) - extinct
-    if capped or extinct:
-        log.warning(
-            "user %d (%s): %d of %d trials stopped at the %d-iteration cap, %d went extinct",
-            antigen.user_id, pool.measure.kind.value, capped, trials, params.max_iterations,
-            extinct,
-        )
+    warning = (
+        f"user {antigen.user_id} ({pool.measure.kind.value}): {capped} of {trials} trials "
+        f"stopped at the {params.max_iterations}-iteration cap, {extinct} went extinct"
+        if capped or extinct else None
+    )
 
     total_error = 0.0
     fallbacks = 0
@@ -187,7 +195,7 @@ def user_accuracy(
         num_ratings=len(antigen),
         accuracy=1.0 - total_error / trials,
         fallback_trials=fallbacks,
-    )
+    ), warning
 
 
 def _eligible_antigens(antigens: Dataset, trials: int) -> list[int]:
@@ -213,8 +221,8 @@ def accuracy_experiment(
     are precomputed once, before any trial, remapped as ``params`` asks, and
     every run indexes them; a pool too small for the population is reported
     once, not once per run. At most ``jobs`` worker processes run, and never
-    more than there are sampled users or CPUs. Results are identical for any ``jobs`` value
-    because every trial seeds itself from (seed, user id, trial index) alone.
+    more than there are sampled users or CPUs. Neither rows nor warnings depend on ``jobs``:
+    trials seed themselves from (seed, user id, trial index); this process logs, in sample order.
 
     Raises :class:`InsufficientAntigensError` when the sample cannot be drawn.
     """
@@ -228,24 +236,23 @@ def accuracy_experiment(
     affinities = PoolAffinities.precomputed(pool, measure, params.remap_negative)
     warn_shortfall(affinities, sample, params)
 
-    run = functools.partial(
-        user_accuracy,
-        pool=affinities,
-        params=params,
-        trials=trials,
-        seed=seed,
-    )
     # with the fork start method every worker starts at the first submit
     workers = min(jobs, len(profiles), os.cpu_count() or 1)
     if workers > 1:
         # imported here: it loads multiprocessing, which one process never needs
         from concurrent.futures import ProcessPoolExecutor
 
+        run = functools.partial(
+            _accuracy_row, pool=affinities, params=params, trials=trials, seed=seed
+        )
         # one chunk per worker, so each worker unpickles the pool's affinities once
         with ProcessPoolExecutor(max_workers=workers) as executor:
-            rows = list(executor.map(run, profiles, chunksize=math.ceil(len(profiles) / workers)))
+            results = list(executor.map(run, profiles, chunksize=-(-len(profiles) // workers)))
+        rows, warnings = zip(*results)
+        for warning in filter(None, warnings):
+            log.warning(warning)
     else:
-        rows = [run(antigen) for antigen in profiles]
+        rows = [user_accuracy(antigen, affinities, params, trials, seed) for antigen in profiles]
 
     return ExperimentReport(
         kind="accuracy",

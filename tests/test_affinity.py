@@ -391,6 +391,16 @@ def _seeded_ratings(seed: int, movies: range) -> dict[int, int]:
     return {m: int(rng.integers(1, 7)) for m in movies}
 
 
+def _sparse_pool(users: int) -> list[UserProfile]:
+    """``users`` seeded profiles of 1 to 14 of 16 movies, so some pairs share fewer than two."""
+    rng = np.random.default_rng(users)
+    profiles = []
+    for uid in range(1, users + 1):
+        movies = rng.choice(16, size=rng.integers(1, 15), replace=False) + 1
+        profiles.append(UserProfile(uid, _seeded_ratings(uid, sorted(movies))))
+    return profiles
+
+
 def _kernel(measure, rows, cols):
     """category_affinity of the category rows of ``rows`` and ``cols`` on the movies of ``cols``."""
     movies = np.array(sorted(set().union(*(p.categories for p in cols))), dtype=np.int64)
@@ -697,14 +707,9 @@ class TestPoolAffinities:
 
     @pytest.mark.parametrize("users", [0, 1, 4, 5, 6, 11])
     def test_tau_build_equals_kernel_and_per_pair(self, users):
-        # pools that end before, on and after a chunk boundary; profiles of
-        # 1 to 14 movies out of 16, so some pairs share fewer than two
-        assert _POOL_CHUNK == 5
-        rng = np.random.default_rng(users)
-        profiles = []
-        for uid in range(1, users + 1):
-            movies = rng.choice(16, size=rng.integers(1, 15), replace=False) + 1
-            profiles.append(UserProfile(uid, _seeded_ratings(uid, sorted(movies))))
+        # pools that end before, on and after a chunk boundary
+        assert _POOL_CHUNK[AffinityKind.KENDALLS_TAU] == 5
+        profiles = _sparse_pool(users)
         dataset = Dataset.from_profiles(profiles)
         measure = AffinityMeasure(AffinityKind.KENDALLS_TAU)
         pool = PoolAffinities.precomputed(dataset, measure)
@@ -720,6 +725,30 @@ class TestPoolAffinities:
                     assert pool.usable[i, j] == (
                         2 * (tau.concordant - tau.discordant) / (common * (common - 1))
                     )
+
+    @pytest.mark.parametrize(
+        "kind, chunk, users",
+        [
+            (kind, chunk, users)
+            for kind, chunk in [(AffinityKind.WEIGHTED_KAPPA, 50), (AffinityKind.PEARSON, 20)]
+            for users in [0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1]
+        ],
+    )
+    def test_chunked_build_equals_kernel_and_per_pair(self, kind, chunk, users):
+        # pools that end before, on and after the kind's own chunk boundary,
+        # remapped or not: the store, one kernel call on the whole pool and
+        # affinity() made usable pair by pair give the same float64 bytes
+        assert _POOL_CHUNK[kind] == chunk
+        profiles = _sparse_pool(users)
+        dataset = Dataset.from_profiles(profiles)
+        measure = AffinityMeasure(kind)
+        values = [affinity(measure, a, b) for a in profiles for b in profiles]
+        for remap in (False, True):
+            pool = PoolAffinities.precomputed(dataset, measure, remap)
+            kernel = category_affinity(measure, pool.categories, pool.categories)
+            assert pool.usable.tobytes() == _usable(*kernel, remap).tobytes()
+            want = np.array([_usable(v.value, v.insufficient_overlap, remap) for v in values])
+            assert pool.usable.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("users", [0, 1])
     def test_tiny_pools(self, users):
@@ -765,20 +794,32 @@ class TestPoolAffinities:
             assert source.block(everyone, everyone).tobytes() == want.tobytes()
             assert source.antigen_affinities(antigens).tobytes() == want_antigens.tobytes()
 
+    @staticmethod
+    def _traced_build_peak(dataset, measure):
+        """Traced peak bytes of one remapped precomputed build."""
+        # the dataset builds its cached columns here, outside the trace
+        PoolAffinities.precomputed(dataset, measure, True)
+        tracemalloc.start()
+        try:
+            PoolAffinities.precomputed(dataset, measure, True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_tau_build_peak_memory(self, standard_dataset):
         # the n x n store (2 MB), the packed pool (1.2 MB) and one chunk's
         # temporaries; a one-hot of the whole pool (users x 6 x movies, 3.6 MB
         # even in float32) would pass the bound
         measure = AffinityMeasure(AffinityKind.KENDALLS_TAU)
-        # the dataset builds its cached columns here, outside the trace
-        PoolAffinities.precomputed(standard_dataset, measure, True)
-        tracemalloc.start()
-        try:
-            PoolAffinities.precomputed(standard_dataset, measure, True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5_000_000
+        assert self._traced_build_peak(standard_dataset, measure) <= 5_000_000
+
+    @pytest.mark.parametrize(
+        "kind", [AffinityKind.WEIGHTED_KAPPA, AffinityKind.PEARSON], ids=["wk", "pearson"]
+    )
+    def test_chunked_build_peak_memory(self, standard_dataset, kind):
+        # the n x n store (2 MB) and one chunk's temporaries against the
+        # rest of the pool: Pearson's six products of 20 rows come closest
+        assert self._traced_build_peak(standard_dataset, AffinityMeasure(kind)) <= 5_000_000
 
 
 @pytest.mark.parametrize(

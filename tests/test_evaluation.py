@@ -260,6 +260,24 @@ class TestAccuracyExperiment:
         assert [row.fallback_trials for row in serial.rows[1:]] == [3, 3]
         assert serial == parallel
 
+    def test_parallel_warnings_in_sample_order(self, caplog):
+        # every trial stops at the cap, so each user warns once; with two
+        # workers the warnings reach the log in sample order, as with one
+        data = self._clustered()
+        params = ImmuneParams(population_size=30, max_iterations=5)
+        kwargs = dict(users=4, trials=3, seed=8)
+        logged = []
+        for jobs in (1, 2):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG):
+                report = accuracy_experiment(data, data, WK, params, **kwargs, jobs=jobs)
+            logged.append([(r.levelname, r.name, r.getMessage()) for r in caplog.records])
+        cap = "3 of 3 trials stopped at the 5-iteration cap, 0 went extinct"
+        assert logged[0] == logged[1] == [
+            ("WARNING", "immunorec.evaluation", f"user {row.user_id} (wk): {cap}")
+            for row in report.rows
+        ]
+
     @pytest.mark.parametrize("measure", [WK, KT, PEARSON], ids=["wk", "kt", "pearson"])
     def test_rows_equal_on_demand_runs(self, measure):
         # the experiment's precomputed pool against user_accuracy on blocks
