@@ -57,8 +57,14 @@ class LoadReport:
 #: with a minus sign allowed so that a negative value reports its range.
 _INTEGER = re.compile(r"-?[0-9]+")
 
-#: The only bytes a file may hold to take the columnar path.
-_COLUMNAR_BYTES = b"0123456789,\n"
+#: About this many bytes of whole lines are parsed at a time, to bound the temporaries.
+_BLOCK = 1 << 15
+
+#: By field width plus one, the mask that keeps a field's last (up to 8)
+#: bytes of the 8-byte word that ends with it, as digit values 0..9.
+_DIGIT_MASKS = np.array(
+    [0, *(0x0F0F0F0F0F0F0F0F >> s << s for s in range(64, -8, -8)), 0x0F0F0F0F0F0F0F0F], np.uint64
+)
 
 
 def _integer(text: str) -> int | None:
@@ -100,26 +106,57 @@ def _grouped(users: np.ndarray, movies: np.ndarray, categories: np.ndarray) -> C
     return users[order], movies[order], categories[order]
 
 
+def _block_rows(block: np.ndarray) -> np.ndarray | None:
+    """Whole lines of bytes as rows of three values; None unless every line
+    is three fields of 1 to 9 ASCII digits joined by two commas and an LF."""
+    # eight "0" bytes ahead, so that an 8-byte word ends at every field
+    data = np.concatenate((np.full(8, ord("0"), np.uint8), block))
+    seps = np.flatnonzero(data < ord("0"))  # comma, comma, LF on every line
+    gaps = np.diff(seps, prepend=7)  # each field's width plus one
+    clean = len(seps) % 3 == 0 and 3 * np.count_nonzero(data == ord(",")) == 2 * len(seps)
+    if not clean or (data[seps[2::3]] != ord("\n")).any() or gaps.max() > 10:
+        return None
+    seps -= 8
+    # the 8 bytes before each separator as one little-endian word: the
+    # field's last digit in the top byte; then digit pairs, fours, eights
+    words = np.ndarray(len(data) - 7, "<u8", data, strides=(1,)).take(seps)
+    words &= _DIGIT_MASKS[gaps]
+    for shift, lanes in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF)):
+        words *= (10 ** (shift // 8) << shift) + 1
+        words >>= shift
+        words &= lanes
+    if gaps.max() > 9:
+        words += (gaps > 9) * (data[seps - 1] & 15) * np.uint64(10**8)
+    return words.reshape(-1, 3)
+
+
 def _parse_columns(path: Path) -> Columns | None:
     """The rating columns of a clean ``category_csv`` file, parsed in bulk.
 
-    Returns None, having raised nothing, unless the file holds only digits,
-    commas and LF, at least one digit, and rows of three integers below
-    2**31 with positive ids, categories in 1..6 and no duplicate key. The
-    line parser then reads the file and owns every error message.
+    Returns None, having raised nothing, unless every line is three fields
+    of 1 to 9 ASCII digits joined by two commas and an LF (the last LF may be
+    missing), with positive ids, categories in 1..6 and no duplicate key.
+    The line parser then reads the file and owns every error message.
     """
     raw = path.read_bytes()
-    if raw.translate(None, _COLUMNAR_BYTES) or not re.search(rb"[0-9]", raw):
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    data = np.frombuffer(raw, np.uint8)
+    if data.max() > ord("9"):
         return None
-    del raw
-    try:
-        rows = np.loadtxt(path, delimiter=",", dtype=np.int32, ndmin=2)
-    except (ValueError, OverflowError):
-        return None
-    if rows.shape[1] != 3:
-        return None
-    users, movies, categories = (np.ascontiguousarray(column) for column in rows.T)
-    del rows
+    columns = [np.empty(np.count_nonzero(data == ord("\n")), np.int32) for _ in range(3)]
+    row = start = 0
+    while start < len(raw):
+        # about _BLOCK bytes, cut just after an LF
+        end = raw.find(b"\n", start + _BLOCK - 1) + 1 or len(raw)
+        rows = _block_rows(data[start:end])
+        if rows is None:
+            return None
+        for column, values in zip(columns, rows.T):
+            column[row : row + len(rows)] = values
+        row, start = row + len(rows), end
+    del raw, data
+    users, movies, categories = columns
     if users.min() < 1 or movies.min() < 1 or categories.min() < 1 or categories.max() > 6:
         return None
     # keys in strictly ascending (user, movie) order, as save_ratings writes

@@ -177,6 +177,7 @@ def _accuracy_row(
 
     total_error = 0.0
     fallbacks = 0
+    extinct_value = None
     for movie_id, final in zip(hidden_movies, finals):
         actual = antigen.rating(movie_id)
         if len(final.rows):
@@ -185,9 +186,11 @@ def _accuracy_row(
             fallbacks += int(prediction.fallback)
         else:
             # Extinct population (exhausted pool): fall back to the mean of the
-            # eligible candidates, so the antigen's own pool entry stays unseen.
-            others = (u for u in pool.user_ids.tolist() if u != antigen.user_id)
-            value = mean_rating(pool.users[u] for u in others)
+            # eligible candidates, not the antigen's own pool entry; once per user.
+            if extinct_value is None:
+                others = (u for u in pool.user_ids.tolist() if u != antigen.user_id)
+                extinct_value = mean_rating(pool.users[u] for u in others)
+            value = extinct_value
             fallbacks += 1
         total_error += abs(value - actual)
     return AccuracyRow(

@@ -1,4 +1,6 @@
 import tempfile
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -26,6 +28,7 @@ from immunorec.affinity import category_matrix
 from immunorec.domain import common_categories
 from immunorec.errors import ConfigError, EmptyDatasetError, ParseError
 
+from conftest import STANDARD_SYNTHETIC
 from test_domain import assert_movie_columns_equal_unique
 
 
@@ -145,8 +148,9 @@ def _load_outcome(path, config):
 
 
 def _id_field(top):
-    """A valid decimal id: 1..top or the largest int32, sometimes zero-padded."""
-    values = st.sampled_from([*range(1, top + 1), 2**31 - 1])
+    """A valid decimal id: 1..top or, one time in top + 1, an id of 9 or 10
+    digits up to the largest int32; sometimes zero-padded."""
+    values = st.sampled_from([*range(1, top + 1)] * 4 + [10**8, 999_999_999, 10**9, 2**31 - 1])
     return st.builds(lambda zeros, value: "0" * zeros + str(value), st.integers(0, 2), values)
 
 
@@ -176,7 +180,7 @@ _FAULTY_LINE = st.one_of(
     st.builds(lambda fields, extra: ",".join((*fields, extra)), _FIELDS, st.sampled_from(["", "5"])),
 )
 # interleaved users, duplicate keys by chance, and at most two faulty lines,
-# so that about a quarter of the files take the columnar path
+# so that about one file in seven takes the columnar path
 _RATINGS_TEXT = st.builds(
     _file_text,
     st.lists(_FIELDS, max_size=30),
@@ -186,18 +190,81 @@ _RATINGS_TEXT = st.builds(
 )
 
 
+def _assert_matches_line_parser(text, min_ratings):
+    config = IngestConfig(min_ratings_per_user=min_ratings)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "ratings.csv"
+        path.write_bytes(text.encode("utf-8"))
+        either = _load_outcome(path, config)
+        with mock.patch.object(datastore, "_parse_columns", return_value=None):
+            lines_only = _load_outcome(path, config)
+    assert either == lines_only
+
+
 class TestColumnarIngest:
     @settings(max_examples=200, deadline=None)
     @given(text=_RATINGS_TEXT, min_ratings=st.integers(1, 3))
     def test_matches_line_parser(self, text, min_ratings):
-        config = IngestConfig(min_ratings_per_user=min_ratings)
-        with tempfile.TemporaryDirectory() as directory:
-            path = Path(directory) / "ratings.csv"
-            path.write_bytes(text.encode("utf-8"))
-            either = _load_outcome(path, config)
-            with mock.patch.object(datastore, "_parse_columns", return_value=None):
-                lines_only = _load_outcome(path, config)
-        assert either == lines_only
+        _assert_matches_line_parser(text, min_ratings)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_RATINGS_TEXT, min_ratings=st.integers(1, 3), block=st.integers(1, 24))
+    def test_matches_line_parser_in_small_blocks(self, text, min_ratings, block):
+        # blocks of a few bytes: many cuts, some right after an LF, and lines
+        # longer than a block
+        with mock.patch.object(datastore, "_BLOCK", block):
+            _assert_matches_line_parser(text, min_ratings)
+
+    @staticmethod
+    def _assert_columnar(path):
+        """The file loads with no line parser, as the line parser loads it."""
+        with mock.patch.object(datastore, "_parse_lines", side_effect=AssertionError):
+            columnar = _load_outcome(path, LOOSE)
+            assert load_ratings(path, LOOSE)[0].users.movies.dtype == np.int32
+        with mock.patch.object(datastore, "_parse_columns", return_value=None):
+            assert columnar == _load_outcome(path, LOOSE)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1,5,3\n2,5,4\n1,7,6",
+            "01,005,3\n2,0005,04\n",
+            "123456789,999999999,6\n999999999,100000000,2\n",
+            "7,8,1\n",
+        ],
+        ids=["no-final-lf", "leading-zeros", "nine-digit-ids", "one-line"],
+    )
+    def test_clean_file_takes_columnar_path(self, tmp_path, text):
+        self._assert_columnar(_write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "text", ["1,2 3\n", "1,2,3,4\n5,6\n"], ids=["space-for-comma", "four-then-two-fields"]
+    )
+    def test_misplaced_separator_goes_to_line_parser(self, tmp_path, text):
+        # three separators a line, though not comma, comma, LF on each line
+        with pytest.raises(ParseError) as excinfo:
+            load_ratings(_write(tmp_path, text), LOOSE)
+        assert (excinfo.value.line, excinfo.value.column) == (1, 1)
+
+    def test_block_multiple_takes_columnar_path(self, tmp_path):
+        # 16-byte lines, two blocks' worth: every cut falls just after an LF
+        lines = (f"{10000 + i // 64},{1000000 + i % 64},{1 + i % 6}\n" for i in range(4096))
+        path = _write(tmp_path, "".join(lines))
+        assert path.stat().st_size == 2 * datastore._BLOCK
+        self._assert_columnar(path)
+
+    def test_parse_peak_memory(self, tmp_path):
+        # the file's bytes (0.9 MB), the three int32 columns (1.1 MB) and one
+        # block's temporaries; parsing the whole file at once peaks near 8 MB
+        path = tmp_path / "standard-2000.csv"
+        save_ratings(generate_synthetic(replace(STANDARD_SYNTHETIC, num_users=2000)), path)
+        tracemalloc.start()
+        try:
+            datastore._parse_columns(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_000_000
 
     def test_standard_file_takes_columnar_path(self, tmp_path, standard_dataset):
         path = tmp_path / "standard.csv"

@@ -1,6 +1,7 @@
 import logging
 import math
 import statistics
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -151,6 +152,27 @@ class TestUserAccuracy:
         assert [r.getMessage() for r in caplog.records] == [
             "user 1 (wk): 0 of 2 trials stopped at the 60-iteration cap, 2 went extinct"
         ]
+
+    def test_extinct_fallback_computed_once_per_user(self):
+        # the fallback depends only on the user and the pool, so two extinct
+        # trials average the pool once and score the same row as before
+        antigen = UserProfile(1, {m: 6 for m in range(1, 6)})
+        others = [
+            UserProfile(uid, {10 * uid + k: 1 + (uid + k) % 6 for k in range(3)})
+            for uid in range(2, 5)
+        ]
+        pool = PoolAffinities(
+            Dataset.from_profiles([antigen, *others]),
+            AffinityMeasure(AffinityKind.WEIGHTED_KAPPA, min_overlap=1),
+        )
+        params = ImmuneParams(population_size=3, max_iterations=60, stability_window=100)
+        with mock.patch.object(evaluation, "mean_rating", wraps=mean_rating) as averaged:
+            row = user_accuracy(antigen, pool, params, trials=2, seed=0)
+        assert averaged.call_count == 1
+        error = abs(mean_rating(others) - 1.0)  # every hidden rating is 1.0
+        assert row == AccuracyRow(
+            user_id=1, num_ratings=5, accuracy=1.0 - (error + error) / 2, fallback_trials=2
+        )
 
     def test_extinct_fallback_on_demand_over_loaded_ratings(self, tmp_path):
         # the fallback reads every pool profile, none of which the run built
