@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -166,10 +166,10 @@ def _movie_columns(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class RatingColumns(Mapping[int, UserProfile]):
-    """Loaded ratings as columns, read as a user id -> :class:`UserProfile` mapping.
+    """Ratings as columns, read as a user id -> :class:`UserProfile` mapping.
 
-    ``movies`` and ``categories`` hold every kept rating grouped by user in
-    ascending user order, each user's ratings in file order; user
+    ``movies`` and ``categories`` hold every rating grouped by user in
+    ascending user order, each user's ratings in their given order; user
     ``user_ids[i]`` owns rows ``bounds[i]:bounds[i + 1]``, ``counts[i]`` of
     them. A user's profile is built from that slice, with every
     :class:`UserProfile` check, when it is first read, and kept.
@@ -206,19 +206,19 @@ class RatingColumns(Mapping[int, UserProfile]):
 class Dataset:
     """A collection of user profiles keyed by user id.
 
-    ``users`` is read-only: a plain dict for generated and subset data, and
-    :class:`RatingColumns` for a loaded file, whose profiles are built when
-    first read.
+    ``users`` is a read-only :class:`RatingColumns`, whose profiles are built
+    when first read unless they were given already built.
     """
 
-    users: Mapping[int, UserProfile]
+    users: RatingColumns
 
     @classmethod
     def from_profiles(cls, profiles: Iterable[UserProfile]) -> "Dataset":
-        """Validate and assemble profiles: unique user ids, non-empty ratings.
+        """Validate profiles (unique user ids, non-empty ratings) and flatten them into columns.
 
-        An empty profile collection is allowed (degenerate partitions produce
-        one); loading from disk raises instead, see ``datastore``.
+        The columns keep the given profiles as built. An empty profile
+        collection is allowed (degenerate partitions produce one); loading
+        from disk raises instead, see ``datastore``.
         """
         users: dict[int, UserProfile] = {}
         for profile in profiles:
@@ -227,26 +227,22 @@ class Dataset:
             if not profile.categories:
                 raise ValueError(f"user {profile.user_id} has no ratings")
             users[profile.user_id] = profile
-        return cls(users)
+        ids = sorted(users)
+        counts, movies, categories = flatten([users[u] for u in ids])
+        columns = RatingColumns(ids, [0, *accumulate(counts)], movies, categories)
+        columns._built.update(users)
+        return cls(columns)
 
     @property
     def user_ids(self) -> list[int]:
         """All user ids, ascending."""
-        return sorted(self.users)
+        return list(self.users)
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """All rated movie ids, ascending, and :attr:`rating_columns`, derived on first read.
-
-        A loaded file's columns are read as they are, so that no profile is
-        built; a dict's profiles are flattened.
-        """
-        if isinstance(self.users, RatingColumns):
-            counts, ids, categories = self.users.counts, self.users.movies, self.users.categories
-        else:
-            counts, ids, categories = flatten([self.users[u] for u in self.user_ids])
-        movies, columns = _movie_columns(ids)
-        return movies, np.asarray(counts, dtype=np.int64), columns, categories
+        """All rated movie ids, ascending, and :attr:`rating_columns`, on first read."""
+        movies, columns = _movie_columns(self.users.movies)
+        return movies, np.asarray(self.users.counts, np.int64), columns, self.users.categories
 
     @property
     def movie_array(self) -> np.ndarray:

@@ -299,17 +299,16 @@ def _lockstep(states: list[AisState], params: ImmuneParams) -> int:
 
     The group's member matrices, concentrations and members' antigen
     affinities are stacked, and each state's matrix becomes a view into the
-    one stacked copy (a single run's arrays are viewed, not copied). A step
-    is kept while no concentration falls below the prune threshold and every
-    one is finite; the first that fails is thrown away. Stops at the
-    stability window, where every run has converged. Returns the iterations
-    kept, each of which added one to every run's ``stable_count``.
+    one stacked copy. A step is kept while no concentration falls below the
+    prune threshold and every one is finite; the first that fails is thrown
+    away. Stops at the stability window, where every run has converged.
+    Returns the iterations kept, each of which added one to every run's
+    ``stable_count``.
     """
     if len({len(state.members) for state in states}) > 1:
         return 0
-    matrix, x, affinities = (
-        arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-        for arrays in zip(*((s.matrix, s.concentrations, s.antigen[s.members]) for s in states))
+    matrix, x, affinities = map(
+        np.stack, zip(*((s.matrix, s.concentrations, s.antigen[s.members]) for s in states))
     )
     for state, state_matrix in zip(states, matrix):
         state.matrix = state_matrix  # frees the run's own copy

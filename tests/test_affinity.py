@@ -40,6 +40,7 @@ from immunorec.affinity import (
     category_affinity,
     category_matrix,
 )
+from immunorec.domain import RatingColumns
 from immunorec.errors import ConfigError, InsufficientOverlapError
 
 overlapping_profiles = st.integers(min_value=0, max_value=2**32 - 1).map(
@@ -687,15 +688,24 @@ class TestPoolAffinities:
 
     @pytest.mark.parametrize("kind", list(AffinityKind))
     def test_constructed_dataset_equals_from_profiles(self, kind):
-        # a Dataset built by its constructor derives its movies from the
-        # profiles just as one built by from_profiles does
+        # a Dataset built by its constructor from hand-made columns (int32
+        # movie ids, as the bulk reader gives) reads the same profiles,
+        # movies and pool as one that from_profiles flattens
         profiles = [
             UserProfile(1, {1: 3, 2: 5, 4: 1}),
             UserProfile(2, {1: 4, 2: 6, 3: 2}),
             UserProfile(3, {2: 1, 3: 2, 4: 6}),
         ]
-        built = Dataset({p.user_id: p for p in profiles})
+        built = Dataset(
+            RatingColumns(
+                [1, 2, 3],
+                [0, 3, 6, 9],
+                np.array([1, 2, 4, 1, 2, 3, 2, 3, 4], np.int32),
+                np.array([3, 5, 1, 4, 6, 2, 1, 2, 6], np.int8),
+            )
+        )
         loaded = Dataset.from_profiles(profiles)
+        assert [built.users[u] for u in built.user_ids] == profiles
         assert built.movie_array.tolist() == loaded.movie_array.tolist() == [1, 2, 3, 4]
         measure = AffinityMeasure(kind)
         everyone = np.arange(len(profiles))

@@ -25,7 +25,7 @@ from immunorec import (
 )
 from immunorec import datastore
 from immunorec.affinity import category_matrix
-from immunorec.domain import common_categories
+from immunorec.domain import RatingColumns, common_categories
 from immunorec.errors import ConfigError, EmptyDatasetError, ParseError
 
 from conftest import STANDARD_SYNTHETIC
@@ -154,6 +154,17 @@ def _id_field(top):
     return st.builds(lambda zeros, value: "0" * zeros + str(value), st.integers(0, 2), values)
 
 
+def _clean_id_field(top):
+    """A decimal id of 1 to 9 digits, as the bulk reader takes them: 1..top
+    or, now and then, an id of 9 digits; sometimes zero-padded."""
+    values = st.sampled_from([*range(1, top + 1)] * 4 + [10**8, 999_999_999])
+    return st.builds(
+        lambda zeros, value: str(value).zfill(min(9, len(str(value)) + zeros)),
+        st.integers(0, 2),
+        values,
+    )
+
+
 def _replace_field(fields, index, text):
     fields = list(fields)
     fields[index] = text
@@ -179,14 +190,25 @@ _FAULTY_LINE = st.one_of(
     _FIELDS.map(lambda fields: ",".join(fields[:2])),
     st.builds(lambda fields, extra: ",".join((*fields, extra)), _FIELDS, st.sampled_from(["", "5"])),
 )
-# interleaved users, duplicate keys by chance, and at most two faulty lines,
-# so that about one file in seven takes the columnar path
-_RATINGS_TEXT = st.builds(
-    _file_text,
-    st.lists(_FIELDS, max_size=30),
-    st.lists(st.tuples(st.integers(0, 30), _FAULTY_LINE), max_size=2),
-    st.sampled_from(["\n", "\n", "\r\n"]),
-    st.booleans(),
+_CLEAN_FIELDS = st.tuples(_clean_id_field(6), _clean_id_field(40), st.integers(1, 6).map(str))
+# either interleaved users, duplicate keys by chance and at most two faulty
+# lines, or a clean LF file (unique keys, ids of 1 to 9 digits, no faulty
+# line) that the columnar path takes; about half of all files take it
+_RATINGS_TEXT = st.one_of(
+    st.builds(
+        _file_text,
+        st.lists(_FIELDS, max_size=30),
+        st.lists(st.tuples(st.integers(0, 30), _FAULTY_LINE), max_size=2),
+        st.sampled_from(["\n", "\n", "\r\n"]),
+        st.booleans(),
+    ),
+    st.builds(
+        _file_text,
+        st.lists(_CLEAN_FIELDS, max_size=30, unique_by=lambda f: (int(f[0]), int(f[1]))),
+        st.just([]),
+        st.just("\n"),
+        st.booleans(),
+    ),
 )
 
 
@@ -357,6 +379,32 @@ class TestRatingColumns:
         assert not unique.called and not argsort.called and not lexsort.called
         assert dataset.users.movies.dtype == np.int32
         assert_movie_columns_equal_unique(dataset.users.movies, dataset.movie_array, columns)
+
+    def test_generated_and_loaded_data_share_one_form(self, tmp_path, standard_dataset):
+        path = tmp_path / "standard.csv"
+        save_ratings(standard_dataset, path)
+        loaded, _ = load_ratings(path, LOOSE)
+        assert isinstance(standard_dataset.users, RatingColumns)
+        assert isinstance(loaded.users, RatingColumns)
+        assert loaded.user_ids == standard_dataset.user_ids
+        # a generated user's ratings run in draw order and a saved file's in
+        # movie order, so each user's ratings are compared in movie order
+        for got, want in zip(_in_movie_order(loaded), _in_movie_order(standard_dataset)):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+        # from_profiles keeps the profiles it is given, and builds none
+        profiles = list(standard_dataset)
+        with self._counted_checks() as check:
+            rebuilt = Dataset.from_profiles(profiles)
+            assert all(rebuilt.users[p.user_id] is p for p in profiles)
+        assert check.call_count == 0
+
+
+def _in_movie_order(dataset):
+    """``movie_array`` and ``rating_columns``, each user's ratings by movie column."""
+    counts, columns, categories = dataset.rating_columns
+    order = np.lexsort((columns, np.repeat(np.arange(len(counts)), counts)))
+    return dataset.movie_array, counts, columns[order], categories[order]
 
 
 class TestSaveRatings:

@@ -205,7 +205,9 @@ class TestMovieColumns:
         assert_movie_columns_equal_unique(np.zeros(0, np.int64), data.movie_array, columns)
 
     def test_generated_dataset_takes_the_table(self, standard_dataset):
-        data = Dataset(dict(standard_dataset.users))
+        # a new Dataset over the generated columns, whose movie columns are
+        # not yet derived: the session's dataset may have derived them already
+        data = Dataset(standard_dataset.users)
         with mock.patch.object(np, "unique", side_effect=AssertionError):
             movies = data.movie_array
             _, columns, _ = data.rating_columns
