@@ -39,7 +39,7 @@ from .datastore import (
     partition,
     save_ratings,
 )
-from .domain import Dataset, common_categories
+from .domain import Dataset, UserProfile, common_categories
 from .errors import (
     ConfigError,
     DataError,
@@ -182,6 +182,12 @@ def _load(args: argparse.Namespace) -> Dataset:
     return dataset
 
 
+def _user(dataset: Dataset, user_id: int) -> UserProfile:
+    if user_id not in dataset:
+        raise UnknownUserError(f"user {user_id} not in dataset")
+    return dataset.users[user_id]
+
+
 def _split_for_eval(dataset: Dataset, args: argparse.Namespace) -> tuple[Dataset, Dataset]:
     """(pool, antigens) for an eval run.
 
@@ -250,10 +256,7 @@ def cmd_ingest_check(args: argparse.Namespace) -> int:
 
 def cmd_affinity(args: argparse.Namespace) -> int:
     dataset = _load(args)
-    for user_id in (args.user_a, args.user_b):
-        if user_id not in dataset:
-            raise UnknownUserError(f"user {user_id} not in dataset")
-    a, b = dataset.users[args.user_a], dataset.users[args.user_b]
+    a, b = _user(dataset, args.user_a), _user(dataset, args.user_b)
     common, _, _ = common_categories(a, b)
     print(f"users {a.user_id} and {b.user_id}: {len(common)} common movies")
     try:
@@ -279,12 +282,10 @@ def cmd_affinity(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
-    dataset = _load(args)
-    if args.user not in dataset:
-        raise UnknownUserError(f"user {args.user} not in dataset")
-    antigen = dataset.users[args.user]
     measure = _measure_from(args)
     params = _params_from(args)
+    dataset = _load(args)
+    antigen = _user(dataset, args.user)
     pool = PoolAffinities(dataset, measure, params.remap_negative)
     warn_shortfall(pool, [antigen.user_id], params)
     final = run_to_convergence(antigen, pool, params, args.seed)
@@ -346,19 +347,21 @@ def _print_report(report) -> None:
         )
 
 
+def _accuracy_reports(args: argparse.Namespace, measures: list[AffinityMeasure]) -> list:
+    """One accuracy report per measure, all on one load and split of the data."""
+    params = _params_from(args)
+    pool, antigens = _split_for_eval(_load(args), args)
+    return [
+        accuracy_experiment(
+            antigens, pool, measure, params,
+            users=args.users, trials=args.trials, seed=args.seed, jobs=args.jobs,
+        )
+        for measure in measures
+    ]
+
+
 def cmd_eval_accuracy(args: argparse.Namespace) -> int:
-    dataset = _load(args)
-    pool, antigens = _split_for_eval(dataset, args)
-    report = accuracy_experiment(
-        antigens,
-        pool,
-        _measure_from(args),
-        _params_from(args),
-        users=args.users,
-        trials=args.trials,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
+    [report] = _accuracy_reports(args, [_measure_from(args)])
     _print_report(report)
     _write_report(report, args)
     return EXIT_OK
@@ -379,18 +382,9 @@ def cmd_eval_compare(args: argparse.Namespace) -> int:
         raise ConfigError(f"--measures takes {choices}, got {args.measures!r}") from None
     if len(kinds) != 2:
         raise ConfigError("--measures needs exactly two comma-separated measures")
-    dataset = _load(args)
-    pool, antigens = _split_for_eval(dataset, args)
-    params = _params_from(args)
-    reports = []
-    for kind in kinds:
-        measure = AffinityMeasure(kind, min_overlap=args.min_overlap)
-        reports.append(
-            accuracy_experiment(
-                antigens, pool, measure, params,
-                users=args.users, trials=args.trials, seed=args.seed, jobs=args.jobs,
-            )
-        )
+    reports = _accuracy_reports(
+        args, [AffinityMeasure(kind, min_overlap=args.min_overlap) for kind in kinds]
+    )
     comparison = paired_comparison(reports[0], reports[1])
     for report in reports:
         print(f"measure {report.measure}: median {report.median:.4f}  mean {report.mean:.4f}")

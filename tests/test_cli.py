@@ -152,21 +152,30 @@ class TestIngestCheck:
 class TestAffinity:
     def test_reference_pair_values(self, reference_file, capsys):
         assert main(["affinity", str(reference_file), "--min-ratings", "1", "1", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "8 common movies" in out
-        assert "0.725000" in out
-        assert "0.107143" in out
-        assert "concordant 9, discordant 6" in out
-        assert "ignored 13 of 28" in out
+        assert capsys.readouterr().out == (
+            "users 1 and 2: 8 common movies\n"
+            "  weighted kappa: 0.725000\n"
+            "  kendalls tau:   0.107143 (concordant 9, discordant 6, ignored 13 of 28)\n"
+            "  pearson:        0.409960\n"
+        )
 
     def test_user_against_itself(self, reference_file, capsys):
         assert main(["affinity", str(reference_file), "--min-ratings", "1", "1", "1"]) == 0
-        assert "weighted kappa: 1.000000" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "users 1 and 1: 8 common movies\n"
+            "  weighted kappa: 1.000000\n"
+            "  kendalls tau:   1.000000 (concordant 28, discordant 0, ignored 0 of 28)\n"
+            "  pearson:        1.000000\n"
+        )
 
     def test_disjoint_pair_prints_flags(self, reference_file, capsys):
         assert main(["affinity", str(reference_file), "--min-ratings", "1", "1", "3"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("insufficient overlap") == 3
+        assert capsys.readouterr().out == (
+            "users 1 and 3: 0 common movies\n"
+            "  weighted kappa: insufficient overlap (need at least 1 common movies, found 0)\n"
+            "  kendalls tau:   insufficient overlap (need at least 2 common movies, found 0)\n"
+            "  pearson:        insufficient overlap (need at least 2 common movies, found 0)\n"
+        )
 
     def test_unknown_user_exits_two(self, reference_file, capsys):
         assert main(["affinity", str(reference_file), "--min-ratings", "1", "1", "99"]) == 2
@@ -459,6 +468,26 @@ class TestEval:
         assert payload["measures"] == ["wk", "kt"]
         assert len(payload["reports"]) == 2
 
+    def test_compare_embeds_the_accuracy_reports(self, data_file, tmp_path):
+        # each measure's report in the comparison is the one eval accuracy
+        # writes with the same options
+        options = [
+            str(data_file), "--min-ratings", "1", "--users", "5", "--trials", "10",
+            "--remap-negative", "--seed", "7",
+        ]
+        compare = tmp_path / "compare.json"
+        assert main(["eval", "compare", *options, "--measures", "wk,kt", "-o", str(compare)]) == 0
+        embedded = json.loads(compare.read_text())["reports"]
+        alone = []
+        for measure in ("wk", "kt"):
+            path = tmp_path / f"{measure}.json"
+            assert main([
+                "eval", "accuracy", *options, "--measure", measure,
+                "--report-format", "json", "-o", str(path),
+            ]) == 0
+            alone.append(json.loads(path.read_text()))
+        assert embedded == alone
+
     def test_compare_needs_two_measures(self, data_file, capsys):
         assert main([
             "eval", "compare", str(data_file), "--min-ratings", "1",
@@ -564,6 +593,26 @@ class TestEval:
             ])
         assert excinfo.value.code == 1
         assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["recommend", "--user", "1", "--k1", "nan"], "stimulation_rate must be finite, got nan"),
+        (["eval", "accuracy", "--users", "1", "--threshold", "-1"], "prune_threshold must be >= 0"),
+        (["eval", "compare", "--users", "1", "--dt", "0"], "dt must be positive"),
+    ],
+    ids=["recommend", "accuracy", "compare"],
+)
+def test_options_checked_before_data(tmp_path, monkeypatch, capsys, argv, message):
+    # a bad number is a config error even when the data file is missing:
+    # each command builds its configuration before it reads the ratings
+    def never(*args, **kwargs):
+        pytest.fail("the ratings file was read before the options were checked")
+
+    monkeypatch.setattr(cli, "load_ratings", never)
+    assert main([*argv, str(tmp_path / "absent.csv"), "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"immunorec: config error: {message}\n"
 
 
 @pytest.mark.parametrize("report, expected", [
