@@ -21,6 +21,7 @@ NUM_CATEGORIES = 6
 
 #: The six admissible rating values, index c-1 holds the value of category c.
 SCALE_POINTS = tuple((c - 1) / 5 for c in range(1, NUM_CATEGORIES + 1))
+POINTS = np.array((0.0, *SCALE_POINTS))  #: the rating by category index; 0 (unrated) reads 0.0
 
 #: The category indices as a set, to check a whole profile at once.
 _CATEGORIES = frozenset(range(1, NUM_CATEGORIES + 1))
@@ -57,18 +58,15 @@ def rating_from_category(category: int) -> float:
 def mean_rating(profiles: Iterable[UserProfile]) -> float:
     """Unweighted mean of every rating of ``profiles``, summed in their order.
 
-    The trivial predictor and the fallback for movies no neighbour rated.
-    Raises :class:`ImmunorecError` when there is no rating at all.
+    The trivial predictor and the fallback for movies no neighbour rated. The
+    ``cumsum`` adds one rating at a time, so the mean has the bits of a loop's
+    ``total += rating``, where ``np.sum`` would add pairwise. Raises
+    :class:`ImmunorecError` when there is no rating at all.
     """
-    total = 0.0
-    count = 0
-    for profile in profiles:
-        for category in profile.categories.values():
-            total += rating_from_category(category)
-            count += 1
-    if count == 0:
+    categories = np.fromiter(chain.from_iterable(p.categories.values() for p in profiles), np.int8)
+    if len(categories) == 0:
         raise ImmunorecError("no ratings to average")
-    return total / count
+    return float(np.cumsum(POINTS[categories])[-1]) / len(categories)
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import category_matrix
-from .domain import SCALE_POINTS, UserProfile, mean_rating
+from .domain import POINTS, UserProfile, mean_rating
 from .errors import EmptyPopulationError
 from .immune_network import FinalPopulation
-
-_POINTS = np.array((0.0, *SCALE_POINTS))  # rating by category; 0 (unrated) reads 0.0
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ def _column_sums(population: FinalPopulation, columns: np.ndarray | slice) -> tu
     weights = np.where(population.weights > 0, population.weights, 0.0)[:, None]
     categories = population.pool.categories[:, columns][population.rows]
     rated = (categories > 0) & (weights > 0)
-    sums = np.cumsum([weights * rated, weights * _POINTS[categories]], axis=1)[:, -1]
+    sums = np.cumsum([weights * rated, weights * POINTS[categories]], axis=1)[:, -1]
     return *sums, rated.sum(axis=0)
 
 
@@ -60,10 +58,11 @@ def predict_rating(population: FinalPopulation, movie_id: int) -> Prediction:
     """
     if len(population.rows) == 0:
         raise EmptyPopulationError("cannot predict from an empty population")
-    column = np.flatnonzero(population.pool.movies == movie_id)  # none off the pool's movies
+    pool = population.pool
+    column = np.flatnonzero(pool.movies == movie_id)  # none off the pool's movies
     weight_sums, weighted_sums, support = _column_sums(population, column)
     if not support.any():
-        mean = mean_rating(profile for profile, _ in population.members)
+        mean = mean_rating(pool.users[u] for u in pool.user_ids[population.rows].tolist())
         return Prediction(movie_id, mean, 0, fallback=True)
     return Prediction(movie_id, weighted_sums.item() / weight_sums.item(), support.item())
 

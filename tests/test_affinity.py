@@ -849,12 +849,10 @@ class TestPoolAffinities:
         (AffinityKind.KENDALLS_TAU, 182, np.int32),
         (AffinityKind.KENDALLS_TAU, 46_341, np.int32),
         (AffinityKind.KENDALLS_TAU, 46_342, np.int64),
-        # Pearson's r is no integer
-        (AffinityKind.PEARSON, 3, np.float64),
     ],
 )
 def test_numerator_dtype_boundaries(kind, longest, dtype):
-    assert _terms_dtypes(kind, longest)[0] is dtype
+    assert _terms_dtypes(kind, longest) is dtype
 
 
 @pytest.mark.parametrize("longest, dtype", [(2896, np.float32), (2897, np.float64)])
@@ -896,13 +894,3 @@ def test_packing_stays_exact():
     assert _packing(0) == (1, 6)
     # past 26 bits each product holds one category: a one-hot product
     assert _packing(2**26) == (27, 1)
-
-
-@pytest.mark.parametrize(
-    "longest, dtype",
-    [(127, np.int8), (128, np.int16), (32_767, np.int16), (32_768, np.int32),
-     (2**31 - 1, np.int32), (2**31, np.int64)],
-)
-def test_overlap_dtype_boundaries(longest, dtype):
-    for kind in AffinityKind:
-        assert _terms_dtypes(kind, longest)[1] is dtype

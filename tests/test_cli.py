@@ -1,5 +1,7 @@
+import hashlib
 import json
 import logging
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -786,7 +788,8 @@ def test_runaway_concentration_stderr_has_no_numpy_warnings(data_file):
 
 def test_cold_runs_import_no_numpy_ma(data_file):
     # numpy.ma, and the process executor with the multiprocessing modules it
-    # loads, add their import time and memory to every cold process
+    # loads, add their import time and memory to every cold process; scipy is
+    # no dependency at all, so no command may load it
     script = (
         "import sys\n"
         "from immunorec.cli import main\n"
@@ -794,11 +797,50 @@ def test_cold_runs_import_no_numpy_ma(data_file):
         "assert main(['recommend', path, '--min-ratings', '1', '--user', '1', '--seed', '1']) == 0\n"
         "assert main(['eval', 'accuracy', path, '--min-ratings', '1', '--users', '2',\n"
         "             '--trials', '3', '--seed', '1']) == 0\n"
+        "assert main(['eval', 'compare', path, '--min-ratings', '1', '--measures', 'wk,kt',\n"
+        "             '--users', '2', '--trials', '2', '--seed', '1']) == 0\n"
+        "assert main(['eval', 'ties', path, '--min-ratings', '1', '--users', '3',\n"
+        "             '--seed', '1']) == 0\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
         "assert 'concurrent.futures.process' not in sys.modules, 'the executor was imported'\n"
+        "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not scipy, f'scipy was imported: {scipy}'\n"
     )
     result = _run_python(["-c", script], log="error")
     assert result.returncode == 0, result.stderr
+
+
+# the first call of each benchmark workload at seed 42, spelled out, with the
+# users of its synthetic set; perfbench/reference.json holds the sha256 of the
+# set and of the call's output. The Kendall's Tau report is where the fallback
+# mean of unsupported trials shows, and the recommend call is the first request
+# of the workload's stream
+_SEED_42_CALLS = {
+    "loo-wk": (500, ["eval", "accuracy"], ["--users", "10", "--trials", "20", "--seed", "42",
+                                           "--report-format", "json", "--measure", "wk"]),
+    "loo-kt-churn": (500, ["eval", "accuracy"], [
+        "--users", "2", "--trials", "10", "--seed", "42", "--report-format", "json",
+        "--measure", "kt", "--remap-negative", "--stability", "50",
+    ]),
+    "recommend-cold": (2000, ["recommend"], ["--user", "791", "--count", "10",
+                                             "--seed", "439218005"]),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_SEED_42_CALLS))
+def test_seed_42_reports_match_the_benchmark_reference(tmp_path, workload):
+    reference = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+    )["workloads"][workload]
+    users, command, options = _SEED_42_CALLS[workload]
+    data, report = tmp_path / "standard.csv", tmp_path / "report.json"
+    assert main([
+        "gen", "--users", str(users), "--movies", "300", "--clusters", "4", "--noise", "0.1",
+        "--ratings-min", "30", "--ratings-max", "60", "--seed", "42", "-o", str(data),
+    ]) == 0
+    assert hashlib.sha256(data.read_bytes()).hexdigest() == reference["input"]
+    assert main([*command, str(data), *options, "-o", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == reference["outputs"][0]
 
 
 def test_empty_split_side_reported_once(data_file):

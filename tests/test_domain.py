@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from immunorec import Dataset, UserProfile, category_from_rating, rating_from_category
-from immunorec.domain import SCALE_POINTS, _movie_columns, common_categories
-from immunorec.errors import InvalidCategoryError, InvalidRatingError
+from immunorec.domain import POINTS, SCALE_POINTS, _movie_columns, common_categories, mean_rating
+from immunorec.errors import ImmunorecError, InvalidCategoryError, InvalidRatingError
 
 profiles = st.builds(
     UserProfile,
@@ -47,6 +47,38 @@ def test_scale_round_trip_is_exact():
         assert rating_from_category(category_from_rating(rating)) == rating
     for category in range(1, 7):
         assert category_from_rating(rating_from_category(category)) == category
+
+
+def test_points_table_reads_each_category():
+    # the one table behind mean_rating and the predictor's column sums
+    assert POINTS.tolist() == [0.0, *(rating_from_category(c) for c in range(1, 7))]
+
+
+def test_mean_rating_of_one_rating_is_that_rating():
+    for category in range(1, 7):
+        mean = mean_rating([UserProfile(1, {5: category})])
+        assert type(mean) is float
+        assert mean == rating_from_category(category)
+
+
+def test_mean_rating_of_profiles_without_ratings_raises():
+    with pytest.raises(ImmunorecError, match="no ratings"):
+        mean_rating([UserProfile(1, {}), UserProfile(2, {})])
+
+
+@given(st.lists(st.lists(st.integers(1, 6), min_size=9, max_size=400), min_size=1, max_size=5))
+def test_mean_rating_adds_in_order(columns):
+    # the oracle adds one rating at a time; on sets of this size a pairwise
+    # sum (np.sum, np.mean) differs from it in the last bits most of the time
+    profiles = [UserProfile(u, dict(enumerate(c, 1))) for u, c in enumerate(columns, 1)]
+    total, count = 0.0, 0
+    for profile in profiles:
+        for category in profile.categories.values():
+            total += rating_from_category(category)
+            count += 1
+    mean = mean_rating(profiles)
+    assert type(mean) is float  # as the loop's, not a numpy scalar
+    assert mean.hex() == (total / count).hex()
 
 
 class TestUserProfile:

@@ -97,6 +97,16 @@ class TestPredictRating:
         assert prediction.support == 0
         assert prediction.value == pytest.approx(0.4, abs=1e-12)  # mean of 0.2 and 0.6
 
+    def test_fallback_mean_follows_admission_order(self):
+        # user 2 joined before user 1, so the fallback adds user 2's ratings
+        # first; pool order would give other bits, and user 3 is no member
+        first, second = UserProfile(2, {1: 2, 2: 5}), UserProfile(1, {1: 1, 2: 2})
+        population = _population((first, 1.0), (second, 1.0), outsiders=(UserProfile(3, {9: 6}),))
+        prediction = predict_rating(population, 9)
+        assert prediction.fallback
+        assert prediction.value.hex() == ((0.2 + 0.8 + 0.0 + 0.2) / 4).hex()
+        assert prediction.value != mean_rating([second, first])
+
     def test_zero_weight_raters_do_not_contribute(self):
         population = _population(
             (rated(1, {10: 1.0}), 0.0),
